@@ -19,12 +19,16 @@
 //! no `DominanceDag` adjacency lists (Θ(n²) edges) are ever materialized —
 //! and runs `mc_matching::HopcroftKarpBitset`'s word-parallel phases. The
 //! adjacency-list reference path survives behind `MC_MATCHING=list`.
+//! Over a [`RankOracle`] the same engine runs on cached rows when they
+//! fit the row-cache budget ([`crate::row_cache`]) and on rows computed
+//! on demand above it; both give the same matching.
 
 use crate::dag::DominanceDag;
+use crate::row_cache;
 use mc_geom::{DominanceIndex, GeomError, PointSet, RankOracle};
 use mc_matching::{
     minimum_vertex_cover, BipartiteAdjacency, BipartiteGraph, BitsetGraph, HopcroftKarp,
-    HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph,
+    HopcroftKarpBitset, Matching, MatchingAlgorithm, OracleGraph, RowSource,
 };
 
 /// Which Hopcroft–Karp engine drives the Lemma-6 path cover.
@@ -168,15 +172,23 @@ impl ChainDecomposition {
     /// must stay matrix-free regardless of budget should build a
     /// [`RankOracle`] and use [`compute_from_oracle`](Self::compute_from_oracle).
     pub fn try_compute(points: &PointSet) -> Result<Self, GeomError> {
-        mc_geom::check_matrix_budget(points.len())?;
+        Self::try_compute_against(points, mc_geom::matrix_budget_bytes())
+    }
+
+    /// [`try_compute`](Self::try_compute) against an explicit matrix
+    /// budget (`None` = unlimited) instead of the env knob.
+    pub fn try_compute_against(points: &PointSet, budget: Option<u64>) -> Result<Self, GeomError> {
+        mc_geom::check_matrix_budget_against(points.len(), budget)?;
         Ok(Self::compute_from_index(&DominanceIndex::build(points)))
     }
 
-    /// Matrix-free decomposition over a [`RankOracle`]: the Lemma-6
-    /// split graph's rows are computed on demand from rank columns
-    /// (`O(d·n)` resident instead of `Θ(n²/64)`), and the oracle rows
-    /// are bit-identical to the dominator-matrix rows, so the chains,
-    /// width, and antichain certificate match the matrix path exactly.
+    /// Decomposition over a [`RankOracle`]: the Lemma-6 split graph's
+    /// rows come from rank columns — materialized once when they fit
+    /// the row-cache budget ([`row_cache::cache_budget_bytes`]),
+    /// computed on demand (`O(d·n)` resident instead of `Θ(n²/64)`)
+    /// above it. The oracle rows are bit-identical to the
+    /// dominator-matrix rows, so the chains, width, and antichain
+    /// certificate match the matrix path exactly.
     pub fn compute_from_oracle(oracle: &RankOracle) -> Self {
         Self::compute_from_oracle_cancellable(oracle, &mc_obs::CancelToken::never())
             .expect("a never-token cannot cancel")
@@ -212,30 +224,33 @@ impl ChainDecomposition {
             }
             MatchingEngine::Bitset => {}
         }
-        Self::oracle_bitset_cancellable(oracle, token)
+        Self::compute_from_oracle_with_cache_budget(oracle, row_cache::cache_budget_bytes(), token)
     }
 
-    /// The sequential matrix-free path: one bitset Hopcroft–Karp solve
-    /// over the whole oracle. Shared by the env dispatcher above and by
-    /// the sharded engine's certificate-failure fallback.
-    pub(crate) fn oracle_bitset_cancellable(
+    /// The sequential oracle path with an explicit row-cache budget in
+    /// bytes: one bitset Hopcroft–Karp solve over the whole oracle, on
+    /// rows materialized once when `matrix_bytes(n)` fits
+    /// `cache_budget` and on rows computed on demand otherwise. Both
+    /// give identical chains and antichains. Shared by the env
+    /// dispatcher above and by the sharded engine's certificate-failure
+    /// fallback.
+    pub fn compute_from_oracle_with_cache_budget(
         oracle: &RankOracle,
+        cache_budget: u64,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
         let _span = mc_obs::span("path_cover");
-        let n = oracle.len();
-        if n == 0 {
-            return Ok(Self {
-                chains: Vec::new(),
-                antichain: Vec::new(),
-            });
+        let og = OracleGraph::new(oracle);
+        match row_cache::cached_rows(
+            &og,
+            cache_budget,
+            "materialize",
+            "matching.rows_cached",
+            token,
+        )? {
+            Some(g) => Self::solve_rows(&g, token),
+            None => Self::solve_rows(&og, token),
         }
-        let g = OracleGraph::new(oracle);
-        let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(&g, token)?;
-        token.poll()?;
-        let chains = Self::chains_from_matching(n, &matching);
-        let antichain = Self::antichain_from_cover(n, &g, &matching);
-        Ok(Self::finish(chains, antichain))
     }
 
     /// Banded shard decomposition (`MC_MATCHING=shard`): cuts the
@@ -338,18 +353,26 @@ impl ChainDecomposition {
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
         let _span = mc_obs::span("path_cover");
-        let n = index.len();
+        Self::solve_rows(&BitsetGraph::from_index(index), token)
+    }
+
+    /// Bitset Hopcroft–Karp over the split graph `g`, then chains from
+    /// the matching and the König antichain from the same rows.
+    fn solve_rows<G: RowSource + BipartiteAdjacency>(
+        g: &G,
+        token: &mc_obs::CancelToken,
+    ) -> Result<Self, mc_obs::Cancelled> {
+        let n = RowSource::num_left(g);
         if n == 0 {
             return Ok(Self {
                 chains: Vec::new(),
                 antichain: Vec::new(),
             });
         }
-        let g = BitsetGraph::from_index(index);
-        let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(&g, token)?;
+        let (matching, _) = HopcroftKarpBitset.solve_with_stats_cancellable(g, token)?;
         token.poll()?;
         let chains = Self::chains_from_matching(n, &matching);
-        let antichain = Self::antichain_from_cover(n, &g, &matching);
+        let antichain = Self::antichain_from_cover(n, g, &matching);
         Ok(Self::finish(chains, antichain))
     }
 
@@ -603,10 +626,8 @@ mod tests {
     fn try_compute_respects_matrix_budget() {
         // 10 bytes cannot hold any dominator matrix with n >= 2; the
         // guard must refuse with the typed error instead of building.
-        std::env::set_var("MC_MATRIX_BUDGET_BYTES", "10");
         let points = PointSet::from_rows(2, &[vec![0.0, 1.0], vec![1.0, 0.0]]);
-        let err = ChainDecomposition::try_compute(&points).unwrap_err();
-        std::env::remove_var("MC_MATRIX_BUDGET_BYTES");
+        let err = ChainDecomposition::try_compute_against(&points, Some(10)).unwrap_err();
         match err {
             GeomError::MatrixBudget {
                 points: n,
@@ -619,7 +640,63 @@ mod tests {
             other => panic!("expected MatrixBudget, got {other:?}"),
         }
         // With the budget lifted the same input solves fine.
-        assert_eq!(ChainDecomposition::try_compute(&points).unwrap().width(), 2);
+        assert_eq!(
+            ChainDecomposition::try_compute_against(&points, None)
+                .unwrap()
+                .width(),
+            2
+        );
+    }
+
+    #[test]
+    fn cached_and_on_demand_oracle_rows_decompose_identically() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let never = mc_obs::CancelToken::never();
+        let mut rng = StdRng::seed_from_u64(0xCAC4E);
+        for dim in [1usize, 2, 3, 4] {
+            for trial in 0..12 {
+                let n = rng.gen_range(1..200);
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| {
+                        (0..dim)
+                            .map(|_| rng.gen_range(0.0..6.0f64).round())
+                            .collect()
+                    })
+                    .collect();
+                let points = PointSet::from_rows(dim, &rows);
+                let oracle = RankOracle::build(&points);
+                // Budget 0 keeps every row on demand; u64::MAX caches all.
+                let on_demand =
+                    ChainDecomposition::compute_from_oracle_with_cache_budget(&oracle, 0, &never)
+                        .unwrap();
+                let cached = ChainDecomposition::compute_from_oracle_with_cache_budget(
+                    &oracle,
+                    u64::MAX,
+                    &never,
+                )
+                .unwrap();
+                assert_eq!(
+                    cached.chains(),
+                    on_demand.chains(),
+                    "dim {dim} trial {trial}"
+                );
+                assert_eq!(
+                    cached.antichain(),
+                    on_demand.antichain(),
+                    "dim {dim} trial {trial}"
+                );
+                assert_eq!(cached.width(), on_demand.width(), "dim {dim} trial {trial}");
+                cached.validate(&points).unwrap();
+            }
+        }
+        let empty = RankOracle::build(&PointSet::new(3));
+        for budget in [0, u64::MAX] {
+            let dec =
+                ChainDecomposition::compute_from_oracle_with_cache_budget(&empty, budget, &never)
+                    .unwrap();
+            assert_eq!(dec.width(), 0);
+        }
     }
 
     #[test]

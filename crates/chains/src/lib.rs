@@ -38,6 +38,7 @@ pub mod dag;
 pub mod decomposition;
 pub mod greedy;
 pub mod mirsky;
+pub mod row_cache;
 pub mod shard;
 pub mod test_support;
 pub mod two_dim;

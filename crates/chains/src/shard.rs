@@ -43,11 +43,12 @@
 //!    ([`OracleGraph::materialize_cancellable`]) and lets the phases
 //!    (and the König sweep) scan at word speed instead. Band
 //!    sub-matrices are `(n/K)²` bits — `K²×` smaller than the
-//!    monolithic matrix PR 7 evicted — so bands stay materialized deep
-//!    past the matrix wall; the full-width repair cache is gated on
-//!    `MC_MATRIX_BUDGET_BYTES` (default 256 MiB here) and falls back
-//!    to matrix-free on-demand rows above it. Cached rows are
-//!    bit-identical to on-demand ones, so nothing downstream changes.
+//!    monolithic dominator matrix — so bands stay materialized deep
+//!    past the matrix wall; the full-width repair cache follows the
+//!    shared [`crate::row_cache`] policy (`MC_MATRIX_BUDGET_BYTES`,
+//!    default 256 MiB) and falls back to matrix-free on-demand rows
+//!    above it. Cached rows are bit-identical to on-demand ones, so
+//!    nothing downstream changes.
 //!
 //! The König antichain certificate is still computed from scratch and
 //! cross-checked against the chain count; on a mismatch (which would
@@ -61,25 +62,11 @@
 //! unit per banded point).
 
 use crate::decomposition::ChainDecomposition;
-use mc_geom::{band_partition, matrix_bytes, RankOracle};
-use mc_matching::{
-    BitsetGraph, HkWorkspace, HopcroftKarpBitset, Matching, MatchingStats, OracleGraph,
-};
+use crate::row_cache::{self, rows_fit};
+use mc_geom::{band_partition, RankOracle};
+use mc_matching::{HkWorkspace, HopcroftKarpBitset, Matching, MatchingStats, OracleGraph};
 use mc_obs::{CancelToken, Cancelled};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Default ceiling on materialized split-graph rows (bytes) when
-/// `MC_MATRIX_BUDGET_BYTES` is unset. The sharded engine runs precisely
-/// in the regime the monolithic dominator matrix was evicted from, so
-/// unlike the index builders (unset = unlimited) its row cache defaults
-/// conservative; setting the env knob overrides both in one place.
-const DEFAULT_CACHE_BYTES: u64 = 256 << 20;
-
-/// The byte budget for materialized rows: `MC_MATRIX_BUDGET_BYTES` if
-/// configured, else [`DEFAULT_CACHE_BYTES`].
-fn cache_budget_bytes() -> u64 {
-    mc_geom::matrix_budget_bytes().unwrap_or(DEFAULT_CACHE_BYTES)
-}
 
 /// One band's solved matching, in band-local vertex numbering.
 struct BandSolve {
@@ -97,20 +84,23 @@ pub(crate) fn compute_sharded_cancellable(
     if n == 0 {
         return Ok(ChainDecomposition::finish(Vec::new(), Vec::new()));
     }
+    let budget = row_cache::cache_budget_bytes();
+    let sequential =
+        || ChainDecomposition::compute_from_oracle_with_cache_budget(oracle, budget, token);
     if shards <= 1 {
-        return ChainDecomposition::oracle_bitset_cancellable(oracle, token);
+        return sequential();
     }
     let part = band_partition(oracle, shards);
     if part.bands.len() <= 1 {
         // Rank classes too coarse to cut: nothing to shard.
-        return ChainDecomposition::oracle_bitset_cancellable(oracle, token);
+        return sequential();
     }
     let _span = mc_obs::span("path_cover_sharded");
     mc_obs::counter_add("matching.shard.bands", part.bands.len() as u64);
 
     let solves = {
         let _s = mc_obs::span("shard.band_solves");
-        solve_bands(oracle, &part.bands, token)?
+        solve_bands(oracle, &part.bands, budget, token)?
     };
     let (mut left_match, mut right_match) = merge_bands(n, &part.bands, &solves);
     let stitched = {
@@ -129,13 +119,13 @@ pub(crate) fn compute_sharded_cancellable(
     // d-dimension rank-compare pass. Rows are bit-identical either
     // way, so the matching (and the certificate) cannot differ.
     let og = OracleGraph::new(oracle);
-    let cached: Option<BitsetGraph<'static>> = if matrix_bytes(n) <= cache_budget_bytes() {
-        let _s = mc_obs::span("shard.materialize");
-        mc_obs::counter_add("matching.shard.rows_cached", n as u64);
-        Some(og.materialize_cancellable(token)?)
-    } else {
-        None
-    };
+    let cached = row_cache::cached_rows(
+        &og,
+        budget,
+        "shard.materialize",
+        "matching.shard.rows_cached",
+        token,
+    )?;
     let initial = Matching {
         left_match,
         right_match,
@@ -171,7 +161,7 @@ pub(crate) fn compute_sharded_cancellable(
              recomputing with the sequential bitset engine",
         );
         mc_obs::counter_add("matching.shard.fallbacks", 1);
-        return ChainDecomposition::oracle_bitset_cancellable(oracle, token);
+        return sequential();
     }
     Ok(ChainDecomposition::finish(chains, antichain))
 }
@@ -182,6 +172,7 @@ pub(crate) fn compute_sharded_cancellable(
 fn solve_bands(
     oracle: &RankOracle,
     bands: &[Vec<usize>],
+    budget: u64,
     token: &CancelToken,
 ) -> Result<Vec<BandSolve>, Cancelled> {
     let n = oracle.len();
@@ -192,8 +183,7 @@ fn solve_bands(
     // Each worker holds at most one band's rows at a time, so the gate
     // charges the budget `workers` bands at once.
     let largest = bands.iter().map(Vec::len).max().unwrap_or(0);
-    let materialize_bands =
-        matrix_bytes(largest).saturating_mul(workers as u64) <= cache_budget_bytes();
+    let materialize_bands = rows_fit(largest, workers, budget);
     let next = AtomicUsize::new(0);
     let worker = |ws: &mut HkWorkspace| -> Result<Vec<BandSolve>, Cancelled> {
         // Pin the oracle kernels to this thread: the bands *are* the
@@ -346,7 +336,13 @@ mod tests {
             let points = random_points(n, 2, 3.0, &mut rng);
             let oracle = RankOracle::build(&points);
             let part = band_partition(&oracle, 4);
-            let solves = solve_bands(&oracle, &part.bands, &CancelToken::never()).unwrap();
+            let solves = solve_bands(
+                &oracle,
+                &part.bands,
+                row_cache::DEFAULT_CACHE_BYTES,
+                &CancelToken::never(),
+            )
+            .unwrap();
             let (mut lm, mut rm) = merge_bands(n, &part.bands, &solves);
             stitch(&oracle, &part.bands, &mut lm, &mut rm);
             let m = Matching {

@@ -20,10 +20,12 @@
 //!   rank `rr_a = m_k − 1 − r_a` per anchor. An anchor is satisfied on
 //!   dimension `k` iff `r_a < c_k` iff `rr_a ≥ m_k − c_k`, which is
 //!   exactly the `col[j] ≥ threshold` narrowing the u64×4 blocked
-//!   [`mc_geom::kernel`] already implements. A query is then: start
-//!   from the all-ones anchor bitset and intersect one
-//!   [`mc_geom::kernel::and_ge_mask`] pass per dimension, early-exiting
-//!   the moment the bitset empties.
+//!   [`mc_geom::kernel`] already implements. A query is then one call
+//!   to [`mc_geom::kernel::narrow_ge_into`]: start from the all-ones
+//!   anchor bitset and intersect one `and_ge_mask` pass per dimension,
+//!   early-exiting the moment the bitset empties. The chain-ladder zero
+//!   sweep of the passive solver asks the same question of its chain
+//!   heads through the same primitive.
 //! * **Selectivity ordering**: dimensions are processed in decreasing
 //!   threshold order (most selective first), and dimensions whose
 //!   threshold is 0 (every anchor passes) are skipped outright. A
@@ -38,7 +40,7 @@
 //! hot-swapped atomically (see `mcc serve`).
 
 use crate::classifier::MonotoneClassifier;
-use mc_geom::kernel::{and_ge_mask, ones_mask_into};
+use mc_geom::kernel::narrow_ge_into;
 use mc_geom::{compress_column_ranks_with_values, parallel_chunks, Label, PointSet};
 
 /// Reusable per-thread query scratch: the anchor bitset row plus the
@@ -58,8 +60,6 @@ pub struct QueryScratch {
 pub struct AnchorIndex {
     dim: usize,
     num_anchors: usize,
-    /// Words per bitset row: `num_anchors.div_ceil(64)`.
-    words: usize,
     /// `cols[k][a]` = reversed rank of anchor `a` on dimension `k`.
     cols: Vec<Vec<u32>>,
     /// `vals[k]` = sorted distinct canonical anchor values on dimension
@@ -89,7 +89,6 @@ impl AnchorIndex {
         Self {
             dim,
             num_anchors,
-            words: num_anchors.div_ceil(64),
             cols,
             vals,
         }
@@ -147,23 +146,12 @@ impl AnchorIndex {
                 scratch.thresholds.push((t, k));
             }
         }
-        if scratch.thresholds.is_empty() {
-            // Every anchor passes every dimension.
-            return Label::One;
-        }
-        // Most selective dimension first: a large threshold kills more
-        // anchors per pass, making the early exit fire sooner.
-        scratch
-            .thresholds
-            .sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
-        scratch.row.resize(self.words, 0);
-        ones_mask_into(self.num_anchors, &mut scratch.row);
-        for &(t, k) in &scratch.thresholds {
-            if !and_ge_mask(&self.cols[k], t, &mut scratch.row) {
-                return Label::Zero;
-            }
-        }
-        Label::One
+        Label::from_bool(narrow_ge_into(
+            self.num_anchors,
+            &self.cols,
+            &mut scratch.thresholds,
+            &mut scratch.row,
+        ))
     }
 
     /// Classifies a flat row-major batch (`data.len()` must be a

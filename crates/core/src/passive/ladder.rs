@@ -16,9 +16,11 @@
 //!    exactly the chain prefix `o_{c,0..=i}`.
 //! 3. Per contending 0-point `p` and chain `c`, the set of chain
 //!    elements `p` dominates is a **prefix** (chains are ascending and
-//!    `⪰` is transitive), so one binary search over the chain order —
-//!    comparing `DominanceIndex` rank columns, `O(d log n)` — finds the
-//!    deepest dominated element; a single edge `p → a_{deepest}` then
+//!    `⪰` is transitive), and it is empty iff `p` does not dominate the
+//!    chain's head. The head sweep ([`HeadSweep`]) finds the chains
+//!    whose head `p` dominates as one `w`-bit row; one binary search
+//!    per hit chain — comparing rank columns, `O(d log n)` — then finds
+//!    the deepest dominated element, and a single edge `p → a_{deepest}`
 //!    reproduces every dense edge `p → o` into that chain.
 //!
 //! Cut preservation: every gadget edge is infinite, so no finite cut
@@ -28,9 +30,22 @@
 //! separate source from sink — is exactly that of the dense network.
 //! Min cuts (and hence Lemma-16/17 classifier readouts) coincide.
 //!
-//! Cost: `O(w·n·log n)` build time after the decomposition, and at most
+//! Cost after the decomposition: per 0-point `O(d + d·⌈w/64⌉)` word
+//! operations plus `O(d log n)` per hit chain, and at most
 //! `2·|P₁^con| + w·|P₀^con|` gadget edges versus up to
 //! `|P₀^con|·|P₁^con|` dense edges.
+//!
+//! The head sweep treats the `w` chain heads as an anchor set, exactly
+//! as [`crate::AnchorIndex`] treats a classifier's anchors: the heads'
+//! ranks are gathered into compact reversed-rank columns (`top − rank`
+//! per dimension), so "head rank ≤ rank of `p`" becomes the
+//! `rev ≥ top − rank(p)` narrowing of [`mc_geom::kernel`]. Per zero,
+//! an `O(d)` floor test (the minimum head rank per dimension) retires
+//! zeros that dominate no head; survivors narrow an all-ones `w`-bit
+//! row with [`mc_geom::kernel::narrow_ge_into`], one `and_ge_mask` pass
+//! per dimension, most selective first, stopping when the row empties.
+//! An empty row is exactly a Lemma-15 non-contender; the set bits, in
+//! ascending chain order, are the only chains that get a binary search.
 //!
 //! Two entry points share the construction:
 //!
@@ -41,20 +56,23 @@
 //!   [`RankTable`] over all points plus a [`RankOracle`] gathered from
 //!   its label-1 rows, whose Lemma-6 split-graph rows are computed on
 //!   demand (`O(d·|P₁|)` resident — no quadratic structure at any
-//!   subset size). The same binary searches that place the zero→rung
-//!   edges double as Lemma-15 contending discovery: a 0-point contends
-//!   iff some chain search returns a non-empty prefix, and the
-//!   contending 1-points of chain `c` are exactly its prefix up to the
-//!   deepest rung any 0-point reaches. The zero sweep fans out over
-//!   `parallel_chunks` behind two `O(d)` prefilters (per-dimension
-//!   minimum head rank, then per-chain head tests), which is what
-//!   carries the `n = 10⁷` scale solves of [`super::scale`].
+//!   subset size; the rows are cached once when they fit the
+//!   `mc_chains::row_cache` budget). The same head sweep that places
+//!   the zero→rung edges doubles as Lemma-15 contending discovery: a
+//!   0-point contends iff its head row is non-empty, and the contending
+//!   1-points of chain `c` are exactly its prefix up to the deepest
+//!   rung any 0-point reaches. The sweep fans out over
+//!   `parallel_chunks`, which is what carries the `n = 10⁷` scale
+//!   solves of [`super::scale`].
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::sparse::ClassifierNetwork;
 use mc_chains::ChainDecomposition;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
-use mc_geom::{parallel_chunks, DominanceIndex, Label, RankOracle, RankTable, WeightedSet};
+use mc_geom::kernel::narrow_ge_into;
+use mc_geom::{
+    iter_ones, parallel_chunks, DominanceIndex, Label, RankOracle, RankTable, WeightedSet,
+};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 
 /// Builds the sparsified network for any dimension off a prebuilt
@@ -72,8 +90,8 @@ pub(crate) fn build_ladder_network(
 }
 
 /// Cancellable twin of [`build_ladder_network`]: the token reaches the
-/// Hopcroft–Karp matching inside the chain decomposition, and the
-/// `|P₀^con| × w` binary-search loop ticks a checkpoint per pair.
+/// Hopcroft–Karp matching inside the chain decomposition, and the head
+/// sweep ticks a checkpoint per zero.
 pub(crate) fn build_ladder_network_cancellable(
     data: &WeightedSet,
     con: &ContendingPoints,
@@ -125,24 +143,19 @@ pub(crate) fn build_ladder_network_cancellable(
         rungs.push(ladder);
     }
 
-    // `p ⪰ q` iff p's dense rank is ≥ q's on every dimension (ranks are
-    // order-preserving per dimension; reflexive, matching the dense
-    // builder's row-AND semantics on duplicates).
+    // The index's dense rank columns order each dimension exactly like
+    // the coordinates (reflexive on duplicates, matching the dense
+    // builder's row-AND semantics), so the head sweep runs on them.
     let cols: Vec<&[u32]> = (0..index.dim()).map(|k| index.rank_column(k)).collect();
-    let dominates = |p: usize, q: usize| cols.iter().all(|c| c[p] >= c[q]);
-    let mut cp = Checkpoint::with_progress(
-        token,
-        "ladder_build",
-        con.zeros.len() as u64 * dec.chains().len() as u64,
-    );
-    for (zi, &p) in con.zeros.iter().enumerate() {
-        for (c, chain) in dec.chains().iter().enumerate() {
-            cp.tick(1)?;
-            // Ascending chain ⇒ "p dominates chain[i]" holds on a prefix.
-            let cnt = chain.partition_point(|&local| dominates(p, con.ones[local]));
-            if cnt > 0 {
-                net.add_edge(zero_nodes[zi], rungs[c][cnt - 1], Capacity::Infinite);
-            }
+    let heads = HeadSweep::new(&cols, dec.chains(), &con.ones);
+    let sweep = heads.sweep(&con.zeros, token)?;
+    for (zi, hits) in &sweep.hits {
+        for &(c, cnt) in hits {
+            net.add_edge(
+                zero_nodes[*zi],
+                rungs[c as usize][cnt as usize - 1],
+                Capacity::Infinite,
+            );
         }
     }
 
@@ -197,14 +210,15 @@ pub(crate) struct LadderOutcome {
 /// never have been resident all at once — see [`super::scale`]), and
 /// the [`WeightedSet`] entry points delegate here.
 ///
-/// No `Θ(n²/64)` structure exists anywhere in this path: the Lemma-6
-/// matching runs over a [`RankOracle`] gathered from the table's
-/// label-1 rows (`O(d·|P₁|)` resident, rows computed on demand and
-/// bit-identical to the dominator matrix's), and the zero sweep is
-/// `O(d)`-prefiltered rank comparisons. The sweep fans out over
-/// `parallel_chunks`; chunk results concatenate in index order, so the
-/// contending sets, the network, and hence the min cut are identical to
-/// the sequential pipeline.
+/// No `Θ(n²/64)` structure over all points exists anywhere in this
+/// path: the Lemma-6 matching runs over a [`RankOracle`] gathered from
+/// the table's label-1 rows (`O(d·|P₁|)` resident; its rows are cached
+/// only when the `|P₁|²/64`-word split graph fits the row-cache budget,
+/// and are bit-identical to the dominator matrix's either way), and the
+/// zero sweep is the word-parallel [`HeadSweep`]. The sweep fans out
+/// over `parallel_chunks`; chunk results concatenate in index order, so
+/// the contending sets, the network, and hence the min cut are
+/// identical to the sequential pipeline.
 pub(crate) fn discover_and_build_from_table_cancellable(
     table: &RankTable,
     labels: &[Label],
@@ -244,82 +258,15 @@ pub(crate) fn discover_and_build_from_table_cancellable(
     let oracle = RankOracle::try_from_table_subset(table, &ones, token)?;
     let dec = ChainDecomposition::compute_from_oracle_cancellable(&oracle, token)?;
 
-    // One pass of chain binary searches per 0-point: the deepest
-    // dominated prefix per chain places its rung edge *and* answers
-    // Lemma 15 — `p` contends iff any prefix is non-empty, and chain
-    // `c`'s contending 1-points are its prefix up to the deepest rung
-    // any 0-point reaches. Two prefilters carry the scale workloads,
-    // where almost every zero dominates nothing:
-    //
-    // * per dimension, the minimum rank over all chain *heads*: a zero
-    //   below that floor anywhere dominates no head, hence nothing in
-    //   any chain — one `O(d)` test retires it;
-    // * per chain, the head itself: an ascending chain's dominated
-    //   prefix is empty iff the head is not dominated, so the
-    //   `O(d log ·)` binary search only runs on chains that hit.
-    let dim = table.dim();
-    let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
-    let heads: Vec<usize> = dec.chains().iter().map(|chain| ones[chain[0]]).collect();
-    let mut min_head_rank = vec![u32::MAX; dim];
-    for &h in &heads {
-        for (k, col) in cols.iter().enumerate() {
-            min_head_rank[k] = min_head_rank[k].min(col[h]);
-        }
-    }
-    let chains = dec.chains();
+    // One head sweep per 0-point: the deepest dominated prefix per
+    // chain places its rung edge *and* answers Lemma 15 — `p` contends
+    // iff any prefix is non-empty, and chain `c`'s contending 1-points
+    // are its prefix up to the deepest rung any 0-point reaches.
+    let cols: Vec<&[u32]> = (0..table.dim()).map(|k| table.column(k)).collect();
     let width = dec.width();
-    /// Per-chunk sweep output: each contending zero with its
-    /// `(chain, dominated-prefix length)` hits, plus the chunk's
-    /// deepest rung per chain.
-    type SweepChunk = (Vec<(usize, Vec<(u32, u32)>)>, Vec<usize>);
-    let sweep: Vec<SweepChunk> = parallel_chunks(zeros.len(), |range| {
-        let mut hits_out: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
-        let mut local_max = vec![0usize; width];
-        // Every worker passes the same global total (one unit per zero),
-        // so `progress.ladder_sweep.frac` is exact for the sweep.
-        let mut cp = Checkpoint::with_progress(token, "ladder_sweep", zeros.len() as u64);
-        for zi in range {
-            if cp.tick(1).is_err() {
-                break; // partial chunk; the caller polls and bails
-            }
-            let p = zeros[zi];
-            if cols
-                .iter()
-                .zip(&min_head_rank)
-                .any(|(col, &floor)| col[p] < floor)
-            {
-                continue;
-            }
-            let mut hits = Vec::new();
-            for (c, chain) in chains.iter().enumerate() {
-                if !table.dominates(p, heads[c]) {
-                    continue;
-                }
-                // Ascending chain ⇒ "p dominates chain[i]" holds on
-                // a prefix, and the head is already known dominated.
-                let cnt = 1 + chain[1..].partition_point(|&local| table.dominates(p, ones[local]));
-                hits.push((c as u32, cnt as u32));
-                local_max[c] = local_max[c].max(cnt);
-            }
-            if !hits.is_empty() {
-                hits_out.push((p, hits));
-            }
-        }
-        (hits_out, local_max)
-    });
-    token.poll()?;
-    let mut con_zeros = Vec::new();
-    let mut zero_hits: Vec<Vec<(u32, u32)>> = Vec::new();
-    let mut max_cnt = vec![0usize; width];
-    for (chunk_hits, local_max) in sweep {
-        for (p, hits) in chunk_hits {
-            con_zeros.push(p);
-            zero_hits.push(hits);
-        }
-        for (m, l) in max_cnt.iter_mut().zip(local_max) {
-            *m = (*m).max(l);
-        }
-    }
+    let sweep = HeadSweep::new(&cols, dec.chains(), &ones).sweep(&zeros, token)?;
+    let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(zi, _)| zeros[zi]).collect();
+    let max_cnt = sweep.max_cnt;
     let mut con_ones: Vec<usize> = dec
         .chains()
         .iter()
@@ -335,6 +282,7 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         });
     }
 
+    let _wire = mc_obs::span("ladder_wire");
     let source = 0;
     let sink = 1;
     let mut net = FlowNetwork::new(2 + con_zeros.len() + con_ones.len(), source, sink);
@@ -371,9 +319,9 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         rung_edges += (2 * ladder.len()).saturating_sub(1) as u64;
         rungs.push(ladder);
     }
-    let total_hits: u64 = zero_hits.iter().map(|h| h.len() as u64).sum();
+    let total_hits: u64 = sweep.hits.iter().map(|(_, h)| h.len() as u64).sum();
     let mut cp = Checkpoint::with_progress(token, "ladder_wire", total_hits);
-    for (zi, hits) in zero_hits.iter().enumerate() {
+    for (zi, (_, hits)) in sweep.hits.iter().enumerate() {
         for &(c, cnt) in hits {
             cp.tick(1)?;
             net.add_edge(
@@ -400,6 +348,158 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         network: Some(network),
         width,
     })
+}
+
+/// The chain heads as an anchor set: answers "which chains does `p`
+/// reach, and how deep" for every 0-point with one word-parallel
+/// subsumption check (Lemma 15's contending test) plus binary searches
+/// on the hit chains only.
+///
+/// `cols[k]` is a full rank column over the point ids that `zeros` and
+/// `ones` name; chain entries are positions into `ones`. Dominance is
+/// the reflexive `cols[k][p] >= cols[k][q]` on every dimension.
+pub(crate) struct HeadSweep<'a> {
+    cols: &'a [&'a [u32]],
+    chains: &'a [Vec<usize>],
+    ones: &'a [usize],
+    /// Per dimension, the minimum head rank: a zero below it on any
+    /// dimension dominates no head.
+    floor: Vec<u32>,
+    /// Per dimension, the maximum head rank.
+    top: Vec<u32>,
+    /// `rev[k][c] = top[k] − rank of chain c's head`: reversed so that
+    /// "head rank ≤ rank of p" reads `rev[k][c] ≥ top[k] − rank of p`,
+    /// the `and_ge_mask` narrowing.
+    rev: Vec<Vec<u32>>,
+}
+
+/// What a [`HeadSweep`] learns over a list of zeros: each zero that
+/// reaches some chain (by its position in the list) with its
+/// `(chain, dominated-prefix length)` hits in ascending chain order,
+/// and the deepest prefix any zero reaches per chain.
+pub(crate) struct SweepHits {
+    pub hits: Vec<(usize, Vec<(u32, u32)>)>,
+    pub max_cnt: Vec<usize>,
+}
+
+/// Per-worker scratch of [`HeadSweep::hits_into`].
+#[derive(Default)]
+pub(crate) struct SweepScratch {
+    thresholds: Vec<(u32, usize)>,
+    row: Vec<u64>,
+}
+
+impl<'a> HeadSweep<'a> {
+    /// Gathers the heads' ranks into compact reversed-rank columns,
+    /// `O(d·w)`.
+    pub(crate) fn new(cols: &'a [&'a [u32]], chains: &'a [Vec<usize>], ones: &'a [usize]) -> Self {
+        let mut floor = Vec::with_capacity(cols.len());
+        let mut top = Vec::with_capacity(cols.len());
+        let mut rev = Vec::with_capacity(cols.len());
+        for col in cols {
+            let ranks: Vec<u32> = chains.iter().map(|chain| col[ones[chain[0]]]).collect();
+            let lo = ranks.iter().copied().min().unwrap_or(u32::MAX);
+            let hi = ranks.iter().copied().max().unwrap_or(0);
+            rev.push(ranks.iter().map(|&r| hi - r).collect());
+            floor.push(lo);
+            top.push(hi);
+        }
+        Self {
+            cols,
+            chains,
+            ones,
+            floor,
+            top,
+            rev,
+        }
+    }
+
+    fn dominates(&self, p: usize, q: usize) -> bool {
+        self.cols.iter().all(|c| c[p] >= c[q])
+    }
+
+    /// Appends `p`'s `(chain, dominated-prefix length)` hits to `hits`
+    /// in ascending chain order. Cost: an `O(d)` floor test, then at
+    /// most `d` narrowing passes of `⌈w/64⌉` words (stopping when the
+    /// head row empties), then one binary search per hit chain.
+    pub(crate) fn hits_into(
+        &self,
+        p: usize,
+        scratch: &mut SweepScratch,
+        hits: &mut Vec<(u32, u32)>,
+    ) {
+        scratch.thresholds.clear();
+        for (k, col) in self.cols.iter().enumerate() {
+            let r = col[p];
+            if r < self.floor[k] {
+                return;
+            }
+            if r < self.top[k] {
+                scratch.thresholds.push((self.top[k] - r, k));
+            }
+        }
+        let width = self.chains.len();
+        if !narrow_ge_into(width, &self.rev, &mut scratch.thresholds, &mut scratch.row) {
+            return;
+        }
+        for c in iter_ones(&scratch.row) {
+            let chain = &self.chains[c];
+            // Ascending chain ⇒ "p dominates chain[i]" holds on a
+            // prefix, and the head is already known dominated.
+            let cnt = 1 + chain[1..].partition_point(|&local| self.dominates(p, self.ones[local]));
+            hits.push((c as u32, cnt as u32));
+        }
+    }
+
+    /// Sweeps every zero, fanned out over `parallel_chunks`; chunk
+    /// results concatenate in index order, so the output is identical
+    /// to a sequential sweep.
+    pub(crate) fn sweep(
+        &self,
+        zeros: &[usize],
+        token: &CancelToken,
+    ) -> Result<SweepHits, Cancelled> {
+        let _span = mc_obs::span("ladder_sweep");
+        let width = self.chains.len();
+        let chunks = parallel_chunks(zeros.len(), |range| {
+            let mut out = SweepHits {
+                hits: Vec::new(),
+                max_cnt: vec![0; width],
+            };
+            let mut scratch = SweepScratch::default();
+            // Every worker passes the same global total (one unit per
+            // zero), so `progress.ladder_sweep.frac` is exact.
+            let mut cp = Checkpoint::with_progress(token, "ladder_sweep", zeros.len() as u64);
+            for zi in range {
+                if cp.tick(1).is_err() {
+                    break; // partial chunk; the caller polls and bails
+                }
+                let mut hits = Vec::new();
+                self.hits_into(zeros[zi], &mut scratch, &mut hits);
+                if hits.is_empty() {
+                    continue;
+                }
+                for &(c, cnt) in &hits {
+                    let m = &mut out.max_cnt[c as usize];
+                    *m = (*m).max(cnt as usize);
+                }
+                out.hits.push((zi, hits));
+            }
+            out
+        });
+        token.poll()?;
+        let mut all = SweepHits {
+            hits: Vec::new(),
+            max_cnt: vec![0; width],
+        };
+        for chunk in chunks {
+            all.hits.extend(chunk.hits);
+            for (m, l) in all.max_cnt.iter_mut().zip(chunk.max_cnt) {
+                *m = (*m).max(l);
+            }
+        }
+        Ok(all)
+    }
 }
 
 #[cfg(test)]
@@ -540,6 +640,149 @@ mod tests {
         );
         let ladder = build_ladder_network(&ws, &con, &index);
         assert_eq!(Dinic.solve(&ladder.net).value(), 3.0);
+    }
+
+    /// The per-head scan the head sweep replaced, kept as its test
+    /// reference: a scattered dominance test against every chain head,
+    /// then a binary search on each dominated chain.
+    fn per_head_scan(
+        cols: &[&[u32]],
+        chains: &[Vec<usize>],
+        ones: &[usize],
+        zeros: &[usize],
+    ) -> Vec<(usize, Vec<(u32, u32)>)> {
+        let dominates = |p: usize, q: usize| cols.iter().all(|c| c[p] >= c[q]);
+        let mut out = Vec::new();
+        for (zi, &p) in zeros.iter().enumerate() {
+            let mut hits = Vec::new();
+            for (c, chain) in chains.iter().enumerate() {
+                if dominates(p, ones[chain[0]]) {
+                    let cnt = 1 + chain[1..].partition_point(|&local| dominates(p, ones[local]));
+                    hits.push((c as u32, cnt as u32));
+                }
+            }
+            if !hits.is_empty() {
+                out.push((zi, hits));
+            }
+        }
+        out
+    }
+
+    /// Column-major ranks for `w` ascending chains (ranks `1..=grid`
+    /// at the heads, each later element `0..=step` above its
+    /// predecessor per dimension) and `num_zeros` zeros (ranks
+    /// `0..=grid + 1`, so rank 0 is below every head's floor).
+    /// Returns `(cols, chains, ones, zeros)`; chain entries are
+    /// positions into `ones`.
+    #[allow(clippy::type_complexity)]
+    fn chain_instance(
+        w: usize,
+        dim: usize,
+        grid: u32,
+        step: u32,
+        dup_heads: bool,
+        num_zeros: usize,
+        rng: &mut StdRng,
+    ) -> (Vec<Vec<u32>>, Vec<Vec<usize>>, Vec<usize>, Vec<usize>) {
+        let mut points: Vec<Vec<u32>> = Vec::new();
+        let mut chains: Vec<Vec<usize>> = Vec::with_capacity(w);
+        for c in 0..w {
+            let len = rng.gen_range(1..5);
+            let mut cur: Vec<u32> = if dup_heads && c % 2 == 1 {
+                points[chains[c - 1][0]].clone()
+            } else {
+                (0..dim).map(|_| rng.gen_range(1..=grid)).collect()
+            };
+            let mut chain = Vec::with_capacity(len);
+            for _ in 0..len {
+                chain.push(points.len());
+                points.push(cur.clone());
+                cur = cur.iter().map(|&r| r + rng.gen_range(0..=step)).collect();
+            }
+            chains.push(chain);
+        }
+        let ones: Vec<usize> = (0..points.len()).collect();
+        let zeros: Vec<usize> = (points.len()..points.len() + num_zeros).collect();
+        for _ in 0..num_zeros {
+            points.push((0..dim).map(|_| rng.gen_range(0..=grid + 1)).collect());
+        }
+        let cols = (0..dim)
+            .map(|k| points.iter().map(|p| p[k]).collect())
+            .collect();
+        (cols, chains, ones, zeros)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn head_sweep_matches_per_head_scan(
+            wi in 0usize..6,
+            dim in 1usize..=4,
+            gi in 0usize..4,
+            step in 0u32..=2,
+            dup_heads in proptest::bool::ANY,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Widths straddling the 64-bit word and 256-bit block edges.
+            let w = [1usize, 63, 64, 65, 256, 257][wi];
+            let grid = [1u32, 2, 5, 1000][gi];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (cols, chains, ones, zeros) =
+                chain_instance(w, dim, grid, step, dup_heads, 120, &mut rng);
+            let cols: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+            let want = per_head_scan(&cols, &chains, &ones, &zeros);
+            let got = HeadSweep::new(&cols, &chains, &ones)
+                .sweep(&zeros, &CancelToken::never())
+                .unwrap();
+            let mut want_max = vec![0usize; w];
+            for (_, hits) in &want {
+                for &(c, cnt) in hits {
+                    want_max[c as usize] = want_max[c as usize].max(cnt as usize);
+                }
+            }
+            proptest::prop_assert_eq!(&got.hits, &want);
+            proptest::prop_assert_eq!(&got.max_cnt, &want_max);
+            // All-equal ranks (grid 1, step 0): every zero at the floor
+            // or above dominates every chain in full.
+            if grid == 1 && step == 0 {
+                for (zi, hits) in &got.hits {
+                    proptest::prop_assert!(cols.iter().all(|c| c[zeros[*zi]] >= 1));
+                    proptest::prop_assert_eq!(hits.len(), w);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn head_sweep_retires_zeros_below_the_floor() {
+        let dim = 3;
+        let mut rng = StdRng::seed_from_u64(0xF100);
+        let (mut cols, chains, ones, _) = chain_instance(65, dim, 5, 1, false, 0, &mut rng);
+        // Zeros `k < dim`: rank 0 (below every head, which start at 1)
+        // on dimension k, top rank elsewhere. Zero `dim`: top everywhere.
+        let first = cols[0].len();
+        for z in 0..=dim {
+            for (k, col) in cols.iter_mut().enumerate() {
+                col.push(if k == z { 0 } else { u32::MAX });
+            }
+        }
+        let cols: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
+        let heads = HeadSweep::new(&cols, &chains, &ones);
+        let mut scratch = SweepScratch::default();
+        for p in first..first + dim {
+            let mut hits = Vec::new();
+            heads.hits_into(p, &mut scratch, &mut hits);
+            assert!(hits.is_empty(), "zero {p} below the floor must hit nothing");
+        }
+        let mut hits = Vec::new();
+        heads.hits_into(first + dim, &mut scratch, &mut hits);
+        let full: Vec<(u32, u32)> = chains
+            .iter()
+            .enumerate()
+            .map(|(c, chain)| (c as u32, chain.len() as u32))
+            .collect();
+        assert_eq!(hits, full);
     }
 
     #[test]
