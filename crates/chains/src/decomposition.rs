@@ -450,6 +450,11 @@ impl ChainDecomposition {
         &self.chains
     }
 
+    /// Consumes the decomposition, returning its chains.
+    pub fn into_chains(self) -> Vec<Vec<usize>> {
+        self.chains
+    }
+
     /// Chain `c` in ascending dominance order: `chain(c)[i + 1] ⪰
     /// chain(c)[i]`. Because `⪰` is transitive, any predicate of the form
     /// "`p ⪰` chain element" is monotone along the chain — downstream

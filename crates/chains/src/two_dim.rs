@@ -47,65 +47,78 @@ impl TwoDimDecomposition {
     /// Panics if `points.dim() != 2`.
     pub fn compute(points: &PointSet) -> Self {
         assert_eq!(points.dim(), 2, "TwoDimDecomposition requires d = 2");
-        let n = points.len();
-        if n == 0 {
-            return Self {
-                chains: Vec::new(),
-                antichain: Vec::new(),
-            };
-        }
-        // Sort by (x, y) ascending (IEEE total order).
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            let pa = points.point(a);
-            let pb = points.point(b);
-            pa[0].total_cmp(&pb[0]).then(pa[1].total_cmp(&pb[1]))
-        });
+        // `v + 0.0` maps `-0.0` to `+0.0`: dominance is IEEE `>=`, under
+        // which the two are one value, but `total_cmp` would order them.
+        let x = |i: usize| points.point(i)[0] + 0.0;
+        let y = |i: usize| points.point(i)[1] + 0.0;
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        order.sort_by(|&a, &b| x(a).total_cmp(&x(b)).then(y(a).total_cmp(&y(b))));
+        Self::piles(points.len(), &order, y)
+    }
 
-        // Piles, identified by the y of their current tail. `tails` is
-        // kept sorted strictly decreasing.
+    /// Computes the decomposition from per-point rank columns: point `i`
+    /// sits at `(x[i], y[i])`, and `p ⪰ q ⟺ x[p] ≥ x[q] ∧ y[p] ≥ y[q]`.
+    /// For `d = 1`, pass the same column twice. Chain entries are
+    /// positions into the columns.
+    ///
+    /// ```
+    /// use mc_chains::TwoDimDecomposition;
+    ///
+    /// let dec = TwoDimDecomposition::from_rank_columns(&[0, 1, 2], &[1, 0, 2]);
+    /// assert_eq!(dec.width(), 2);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length.
+    pub fn from_rank_columns(x: &[u32], y: &[u32]) -> Self {
+        assert_eq!(x.len(), y.len(), "rank columns differ in length");
+        let key = |i: usize| (u64::from(x[i]) << 32) | u64::from(y[i]);
+        let mut order: Vec<usize> = (0..x.len()).collect();
+        order.sort_unstable_by_key(|&i| key(i));
+        Self::piles(x.len(), &order, |i| y[i])
+    }
+
+    /// The patience-pile scan over `order` (ascending `(x, y)`), keyed by
+    /// each point's `y`; see the module docs.
+    fn piles<T: PartialOrd + Copy>(n: usize, order: &[usize], y: impl Fn(usize) -> T) -> Self {
+        // Piles, identified by the y of their current tail, kept
+        // strictly decreasing across piles.
         let mut chains: Vec<Vec<usize>> = Vec::new();
-        let mut tail_y: Vec<f64> = Vec::new(); // strictly decreasing
-                                               // For the certificate: when a point opens pile k, remember the
-                                               // point and, for each point placed on pile k, the tail of pile
-                                               // k-1 at that moment (a strictly "above-left" predecessor).
+        let mut tail_y: Vec<T> = Vec::new();
+        // For the certificate: each point remembers the tail of the pile
+        // left of its own at placement time (a strictly "above-left"
+        // predecessor).
         let mut predecessor: Vec<Option<usize>> = vec![None; n];
         let mut tails_idx: Vec<usize> = Vec::new(); // current tail point of each pile
 
-        for &p in &order {
-            let y = points.point(p)[1];
-            // Find the pile with the largest tail_y ≤ y: tails are
-            // strictly decreasing, so binary search for the first tail ≤ y.
+        for &p in order {
+            let y = y(p);
+            // The pile with the largest tail_y ≤ y: tails are strictly
+            // decreasing, so binary search for the first tail ≤ y.
             let pos = tail_y.partition_point(|&t| t > y);
+            if pos > 0 {
+                predecessor[p] = Some(tails_idx[pos - 1]);
+            }
             if pos == tail_y.len() {
-                // New pile.
-                if pos > 0 {
-                    predecessor[p] = Some(tails_idx[pos - 1]);
-                }
                 chains.push(vec![p]);
                 tail_y.push(y);
                 tails_idx.push(p);
             } else {
-                if pos > 0 {
-                    predecessor[p] = Some(tails_idx[pos - 1]);
-                }
                 chains[pos].push(p);
                 tail_y[pos] = y;
                 tails_idx[pos] = p;
             }
-            // Re-establish strict decrease: tail_y[pos] = y could equal
-            // tail_y[pos-1]? No: tail_y[pos-1] > y by the partition point
-            // (strictly), and tail_y[pos+1..] stay < y because the old
-            // tail_y[pos] ≤ y and the sequence was decreasing.
+            // Strict decrease survives: tail_y[pos - 1] > y by the
+            // partition point, and tail_y[pos + 1..] stay below the old
+            // tail_y[pos] ≤ y.
             debug_assert!(
                 tail_y.windows(2).all(|w| w[0] > w[1]),
                 "pile tails must stay strictly decreasing"
             );
         }
 
-        // Certificate: start from the last pile's final opener... the
-        // standard construction walks predecessors from the last pile's
-        // tail at the end of the scan.
+        // Certificate: walk predecessors back from the last pile's tail.
         let mut antichain = Vec::with_capacity(chains.len());
         let mut cur = tails_idx.last().copied();
         while let Some(p) = cur {
@@ -120,6 +133,11 @@ impl TwoDimDecomposition {
     /// The chains (ascending dominance order within each chain).
     pub fn chains(&self) -> &[Vec<usize>] {
         &self.chains
+    }
+
+    /// Consumes the decomposition, returning its chains.
+    pub fn into_chains(self) -> Vec<Vec<usize>> {
+        self.chains
     }
 
     /// The dominance width.
@@ -257,6 +275,68 @@ mod tests {
         let dec = TwoDimDecomposition::compute(&points);
         assert_eq!(dec.width(), 1);
         dec.validate(&points).unwrap();
+    }
+
+    #[test]
+    fn signed_zeros_are_one_coordinate() {
+        // (-0.0, 1) dominates (0.0, 0) under IEEE `>=`: one chain.
+        let points = PointSet::from_rows(2, &[vec![-0.0, 1.0], vec![0.0, 0.0]]);
+        let dec = TwoDimDecomposition::compute(&points);
+        assert_eq!(dec.width(), 1);
+        dec.validate(&points).unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The rank-column cover partitions the points into ascending
+        /// chains, and its width is the Hopcroft–Karp minimum over the
+        /// same ranks. Small rank ranges force ties and duplicates;
+        /// `one_dim` passes one column twice (`d = 1`).
+        #[test]
+        fn rank_columns_cover_matches_the_oracle_width(
+            pts in proptest::collection::vec((0u32..6, 0u32..6), 0..70),
+            one_dim in proptest::bool::ANY,
+            spread in proptest::bool::ANY,
+        ) {
+            let scale = if spread { 1_000_003 } else { 1 };
+            let x: Vec<u32> = pts.iter().map(|&(a, _)| a * scale).collect();
+            let y: Vec<u32> = if one_dim {
+                x.clone()
+            } else {
+                pts.iter().map(|&(_, b)| b).collect()
+            };
+            let dec = TwoDimDecomposition::from_rank_columns(&x, &y);
+            let n = x.len();
+            let mut seen = vec![false; n];
+            for chain in dec.chains() {
+                proptest::prop_assert!(!chain.is_empty());
+                for &i in chain {
+                    proptest::prop_assert!(!seen[i], "point {} in two chains", i);
+                    seen[i] = true;
+                }
+                for pair in chain.windows(2) {
+                    let (a, b) = (pair[0], pair[1]);
+                    proptest::prop_assert!(x[b] >= x[a] && y[b] >= y[a], "{} !⪰ {}", b, a);
+                }
+            }
+            proptest::prop_assert!(seen.iter().all(|&s| s));
+            let dim = if one_dim { 1 } else { 2 };
+            let mut ranks = x.clone();
+            if !one_dim {
+                ranks.extend_from_slice(&y);
+            }
+            let oracle = mc_geom::RankOracle::from_rank_columns(n, dim, ranks);
+            let reference = ChainDecomposition::compute_from_oracle(&oracle);
+            proptest::prop_assert_eq!(dec.width(), reference.width());
+            proptest::prop_assert_eq!(dec.antichain().len(), dec.width());
+            for (a, &i) in dec.antichain().iter().enumerate() {
+                for &j in &dec.antichain()[a + 1..] {
+                    let comparable = (x[i] >= x[j] && y[i] >= y[j]) || (x[j] >= x[i] && y[j] >= y[i]);
+                    proptest::prop_assert!(!comparable, "certificate {} and {} comparable", i, j);
+                }
+            }
+        }
     }
 
     #[test]

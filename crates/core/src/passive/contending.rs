@@ -40,7 +40,9 @@ impl ContendingPoints {
     /// `d ≤ 2`, the bitset-index row-`AND` otherwise.
     pub fn compute(data: &WeightedSet) -> Self {
         if data.dim() <= 2 {
-            crate::passive::sparse::contending_sweep(data)
+            let table = mc_geom::RankTable::build(data.points());
+            let (x, y) = crate::passive::sparse::plane(&table);
+            crate::passive::sparse::contending_sweep(x, y, data.labels())
         } else {
             Self::compute_indexed(data, &DominanceIndex::build(data.points()))
         }

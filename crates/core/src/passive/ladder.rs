@@ -1,16 +1,15 @@
-//! Dimension-generic chain-ladder sparsification of the classifier
-//! network.
+//! Chain-ladder sparsification of the classifier network, and the
+//! matrix-free pipeline that builds every non-dense network.
 //!
 //! The paper's Section-5.1 construction inserts one infinite type-3 edge
 //! per dominating pair in `P₀^con × P₁^con` — `Θ(n²)` edges at any
-//! dimension. `sparse.rs` removes the wall for `d ≤ 2` with a
-//! divide-and-conquer ladder; this module removes it for **every**
-//! dimension using the paper's own Lemma-6 machinery:
+//! dimension. This module removes that wall at **every** dimension using
+//! the paper's own Lemma-6 machinery:
 //!
-//! 1. Run a minimum chain decomposition on the contending label-1
-//!    points (bitset Hopcroft–Karp over the shared [`DominanceIndex`]).
-//!    This yields `w` chains `o_{c,0} ⪯ o_{c,1} ⪯ …`, `w` the dominance
-//!    width of `P₁^con`.
+//! 1. Cover the label-1 points with a minimum set of chains: the
+//!    `O(n log n)` patience sort of [`TwoDimDecomposition`] at `d ≤ 2`,
+//!    bitset Hopcroft–Karp at `d ≥ 3`. This yields `w` chains
+//!    `o_{c,0} ⪯ o_{c,1} ⪯ …`, `w` the dominance width of `P₁`.
 //! 2. Per chain, build a rung ladder of auxiliary nodes: `a_i → o_{c,i}`
 //!    and `a_i → a_{i-1}`, all [`Capacity::Infinite`], so `a_i` reaches
 //!    exactly the chain prefix `o_{c,0..=i}`.
@@ -32,8 +31,14 @@
 //!
 //! Cost after the decomposition: per 0-point `O(d + d·⌈w/64⌉)` word
 //! operations plus `O(d log n)` per hit chain, and at most
-//! `2·|P₁^con| + w·|P₀^con|` gadget edges versus up to
-//! `|P₀^con|·|P₁^con|` dense edges.
+//! `2·|P₁^con|` rung edges plus one connector per (zero, head)
+//! dominance pair, versus up to `|P₀^con|·|P₁^con|` dense edges.
+//!
+//! At `d ≤ 2` the `O(n log n)`-edge divide-and-conquer gadget of
+//! [`super::sparse`] competes. [`count_head_hits`] counts the ladder's
+//! connectors exactly with a [`Fenwick`] sweep before anything is
+//! built, and [`Gadget::ByEdgeCount`] builds the ladder iff that count
+//! is at most `|P₀|·⌈log₂ n⌉`, the other gadget's connector bound.
 //!
 //! The head sweep treats the `w` chain heads as an anchor set, exactly
 //! as [`crate::AnchorIndex`] treats a classifier's anchors: the heads'
@@ -49,12 +54,13 @@
 //!
 //! Two entry points share the construction:
 //!
-//! * [`build_ladder_network`] — off a prebuilt full-set
-//!   [`DominanceIndex`] (the `solve_with_index` path, where the matrix
-//!   is already paid for).
-//! * [`discover_and_build`] — **matrix-free**: only the `O(d·n log n)`
-//!   [`RankTable`] over all points plus a [`RankOracle`] gathered from
-//!   its label-1 rows, whose Lemma-6 split-graph rows are computed on
+//! * [`build_ladder_network_cancellable`] — off a prebuilt full-set
+//!   [`DominanceIndex`] (the `solve_with_index` path at `d ≥ 3`, where
+//!   the matrix is already paid for).
+//! * [`discover_and_build_cancellable`] — **matrix-free**, the route of every other
+//!   non-dense solve: only the `O(d·n log n)` [`RankTable`] over all
+//!   points, plus, at `d ≥ 3`, a [`RankOracle`] gathered from its
+//!   label-1 rows, whose Lemma-6 split-graph rows are computed on
 //!   demand (`O(d·|P₁|)` resident — no quadratic structure at any
 //!   subset size; the rows are cached once when they fit the
 //!   `mc_chains::row_cache` budget). The same head sweep that places
@@ -66,12 +72,12 @@
 //!   solves of [`super::scale`].
 
 use crate::passive::contending::ContendingPoints;
-use crate::passive::sparse::ClassifierNetwork;
-use mc_chains::ChainDecomposition;
+use crate::passive::sparse::{build_sparse_network, contending_sweep, plane, ClassifierNetwork};
+use mc_chains::{ChainDecomposition, TwoDimDecomposition};
 use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::narrow_ge_into;
 use mc_geom::{
-    iter_ones, parallel_chunks, DominanceIndex, Label, RankOracle, RankTable, WeightedSet,
+    iter_ones, parallel_chunks, DominanceIndex, Fenwick, Label, RankOracle, RankTable, WeightedSet,
 };
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 
@@ -89,7 +95,7 @@ pub(crate) fn build_ladder_network(
         .expect("a never-token cannot cancel")
 }
 
-/// Cancellable twin of [`build_ladder_network`]: the token reaches the
+/// Cancellable twin of `build_ladder_network`: the token reaches the
 /// Hopcroft–Karp matching inside the chain decomposition, and the head
 /// sweep ticks a checkpoint per zero.
 pub(crate) fn build_ladder_network_cancellable(
@@ -168,7 +174,26 @@ pub(crate) fn build_ladder_network_cancellable(
     })
 }
 
-/// Matrix-free ladder pipeline: contending discovery *and* network
+/// Which type-3 gadget the table pipeline builds at `d ≤ 2`; at `d ≥ 3`
+/// it always builds the chain ladder.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Gadget {
+    /// The chain ladder iff its exact connector count — the (zero, chain
+    /// head) dominance pairs — is at most `|P₀|·⌈log₂ n⌉`, the
+    /// divide-and-conquer gadget's per-zero bound; otherwise that
+    /// gadget.
+    ByEdgeCount,
+    /// Always the chain ladder
+    /// ([`NetworkStrategy::Sparse`](crate::passive::NetworkStrategy::Sparse)).
+    Ladder,
+    /// Always the divide-and-conquer gadget at `d ≤ 2`: the test hook
+    /// that checks that branch on inputs the count would send to the
+    /// ladder.
+    #[cfg_attr(not(test), allow(dead_code))]
+    DivideAndConquer,
+}
+
+/// Matrix-free pipeline: contending discovery *and* network
 /// construction without ever building the `Θ(n²)` full-set
 /// [`DominanceIndex`]. Returns the Lemma-15 contending sets (both
 /// ascending) and, when they are non-empty, the sparsified network over
@@ -177,25 +202,32 @@ pub(crate) fn build_ladder_network_cancellable(
 #[cfg(test)]
 pub(crate) fn discover_and_build(
     data: &WeightedSet,
+    gadget: Gadget,
 ) -> (ContendingPoints, Option<ClassifierNetwork>) {
-    discover_and_build_cancellable(data, &CancelToken::never())
+    discover_and_build_cancellable(data, gadget, &CancelToken::never())
         .expect("a never-token cannot cancel")
 }
 
-/// Cancellable twin of [`discover_and_build`]: builds the `O(d·n)`
+/// Cancellable twin of `discover_and_build`: builds the `O(d·n)`
 /// [`RankTable`] and delegates to the table-based pipeline.
 pub(crate) fn discover_and_build_cancellable(
     data: &WeightedSet,
+    gadget: Gadget,
     token: &CancelToken,
 ) -> Result<(ContendingPoints, Option<ClassifierNetwork>), Cancelled> {
     let table = RankTable::try_build(data.points(), token)?;
-    let out =
-        discover_and_build_from_table_cancellable(&table, data.labels(), data.weights(), token)?;
+    let out = discover_and_build_from_table_cancellable(
+        &table,
+        data.labels(),
+        data.weights(),
+        gadget,
+        token,
+    )?;
     Ok((out.con, out.network))
 }
 
 /// Everything the matrix-free discovery learns in one pass: the
-/// Lemma-15 contending sets, the ladder network over them (when any
+/// Lemma-15 contending sets, the network over them (when any
 /// contention exists), and the dominance width of the label-1 points
 /// (the scale benches record it, and the parity harness checks it
 /// against the matrix path bit for bit).
@@ -205,24 +237,30 @@ pub(crate) struct LadderOutcome {
     pub width: usize,
 }
 
-/// The matrix-free ladder pipeline off prebuilt rank columns. This is
-/// the only spelling the streaming scale path can use (coordinates may
-/// never have been resident all at once — see [`super::scale`]), and
-/// the [`WeightedSet`] entry points delegate here.
+/// The matrix-free pipeline off prebuilt rank columns. This is the only
+/// spelling the streaming scale path can use (coordinates may never
+/// have been resident all at once — see [`super::scale`]), and the
+/// [`WeightedSet`] entry points delegate here.
 ///
 /// No `Θ(n²/64)` structure over all points exists anywhere in this
-/// path: the Lemma-6 matching runs over a [`RankOracle`] gathered from
-/// the table's label-1 rows (`O(d·|P₁|)` resident; its rows are cached
-/// only when the `|P₁|²/64`-word split graph fits the row-cache budget,
-/// and are bit-identical to the dominator matrix's either way), and the
-/// zero sweep is the word-parallel [`HeadSweep`]. The sweep fans out
-/// over `parallel_chunks`; chunk results concatenate in index order, so
-/// the contending sets, the network, and hence the min cut are
-/// identical to the sequential pipeline.
+/// path. The minimum chain cover of the label-1 points is the
+/// `O(n log n)` patience sort of [`TwoDimDecomposition`] at `d ≤ 2`;
+/// at `d ≥ 3` the Lemma-6 matching runs over a [`RankOracle`] gathered
+/// from the table's label-1 rows (`O(d·|P₁|)` resident; its rows are
+/// cached only when the `|P₁|²/64`-word split graph fits the row-cache
+/// budget, and are bit-identical to the dominator matrix's either way).
+/// Both covers are minimum, so the width is the same.
+///
+/// At `d ≤ 2`, [`Gadget`] picks the type-3 gadget; both have the dense
+/// network's min cut. The ladder's zero sweep is the word-parallel
+/// [`HeadSweep`], fanned out over `parallel_chunks`; chunk results
+/// concatenate in index order, so the contending sets, the network,
+/// and hence the min cut are identical to the sequential pipeline.
 pub(crate) fn discover_and_build_from_table_cancellable(
     table: &RankTable,
     labels: &[Label],
     weights: &[f64],
+    gadget: Gadget,
     token: &CancelToken,
 ) -> Result<LadderOutcome, Cancelled> {
     let _span = mc_obs::span("ladder");
@@ -251,24 +289,55 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         });
     }
 
-    // Lemma 6 on the label-1 points, matrix-free: gathering rank
-    // columns preserves per-dimension order (and equality), so the
-    // oracle's on-demand rows — and with them the matching, chains, and
-    // width — are bit-identical to a dominator matrix over the subset.
-    let oracle = RankOracle::try_from_table_subset(table, &ones, token)?;
-    let dec = ChainDecomposition::compute_from_oracle_cancellable(&oracle, token)?;
+    // Minimum chain cover of the label-1 points. Gathering rank columns
+    // preserves per-dimension order (and equality), so either cover is
+    // exact; chain entries are positions into `ones`.
+    let chains = if table.dim() <= 2 {
+        let _span = mc_obs::span("path_cover");
+        let (x, y) = plane(table);
+        let gather = |col: &[u32]| ones.iter().map(|&q| col[q]).collect::<Vec<u32>>();
+        TwoDimDecomposition::from_rank_columns(&gather(x), &gather(y)).into_chains()
+    } else {
+        let oracle = {
+            let _span = mc_obs::span("oracle_build");
+            RankOracle::try_from_table_subset(table, &ones, token)?
+        };
+        ChainDecomposition::compute_from_oracle_cancellable(&oracle, token)?.into_chains()
+    };
+    let width = chains.len();
+    token.poll()?;
+
+    if table.dim() <= 2 && gadget != Gadget::Ladder {
+        let (x, y) = plane(table);
+        let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
+        let head_hits = count_head_hits(x, y, &heads, &zeros);
+        let budget =
+            zeros.len() as u64 * u64::from(table.len().next_power_of_two().trailing_zeros());
+        if gadget == Gadget::DivideAndConquer || head_hits > budget {
+            mc_obs::counter_add("passive.ladder_head_hits", head_hits);
+            mc_obs::counter_add("passive.gadget_dc", 1);
+            let con = {
+                let _span = mc_obs::span("contending");
+                contending_sweep(x, y, labels)
+            };
+            let network = (!con.is_empty()).then(|| build_sparse_network(x, y, weights, &con));
+            return Ok(LadderOutcome {
+                con,
+                network,
+                width,
+            });
+        }
+    }
 
     // One head sweep per 0-point: the deepest dominated prefix per
     // chain places its rung edge *and* answers Lemma 15 — `p` contends
     // iff any prefix is non-empty, and chain `c`'s contending 1-points
     // are its prefix up to the deepest rung any 0-point reaches.
     let cols: Vec<&[u32]> = (0..table.dim()).map(|k| table.column(k)).collect();
-    let width = dec.width();
-    let sweep = HeadSweep::new(&cols, dec.chains(), &ones).sweep(&zeros, token)?;
+    let sweep = HeadSweep::new(&cols, &chains, &ones).sweep(&zeros, token)?;
     let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(zi, _)| zeros[zi]).collect();
     let max_cnt = sweep.max_cnt;
-    let mut con_ones: Vec<usize> = dec
-        .chains()
+    let mut con_ones: Vec<usize> = chains
         .iter()
         .zip(&max_cnt)
         .flat_map(|(chain, &cnt)| chain[..cnt].iter().map(|&local| ones[local]))
@@ -300,9 +369,9 @@ pub(crate) fn discover_and_build_from_table_cancellable(
     }
 
     // Rung ladders, truncated to the reached prefix of each chain.
-    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(dec.width());
+    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(width);
     let mut rung_edges = 0u64;
-    for (chain, &cnt) in dec.chains().iter().zip(&max_cnt) {
+    for (chain, &cnt) in chains.iter().zip(&max_cnt) {
         let mut ladder: Vec<NodeId> = Vec::with_capacity(cnt);
         for (i, &local) in chain[..cnt].iter().enumerate() {
             let a = net.add_node();
@@ -332,8 +401,9 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         }
     }
 
-    mc_obs::counter_add("passive.ladder_chains", dec.width() as u64);
+    mc_obs::counter_add("passive.ladder_chains", width as u64);
     mc_obs::counter_add("passive.ladder_rungs", rung_edges);
+    mc_obs::counter_add("passive.ladder_head_hits", total_hits);
     let con = ContendingPoints {
         zeros: con_zeros,
         ones: con_ones,
@@ -348,6 +418,43 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         network: Some(network),
         width,
     })
+}
+
+/// The number of `(zero, head)` pairs with `zero ⪰ head` over the rank
+/// columns `x`, `y` (see [`plane`]) — exactly the connector edges the
+/// chain ladder would wire, since a zero gets one edge per chain whose
+/// head it dominates. Sorts both sides by `x` and sweeps the zeros,
+/// inserting each head into a [`Fenwick`] tree over the heads' `y`
+/// ranks once its `x` is reached: `O(|P₀| log |P₀| + w log w)`.
+pub(crate) fn count_head_hits(x: &[u32], y: &[u32], heads: &[usize], zeros: &[usize]) -> u64 {
+    let mut head_y: Vec<u32> = heads.iter().map(|&h| y[h]).collect();
+    head_y.sort_unstable();
+    head_y.dedup();
+    let mut by_x: Vec<(u32, usize)> = heads
+        .iter()
+        .map(|&h| (x[h], head_y.partition_point(|&v| v < y[h])))
+        .collect();
+    by_x.sort_unstable();
+    let mut zero_keys: Vec<u64> = zeros
+        .iter()
+        .map(|&z| (u64::from(x[z]) << 32) | u64::from(y[z]))
+        .collect();
+    zero_keys.sort_unstable();
+    let mut bit = Fenwick::new(head_y.len());
+    let mut next = 0;
+    let mut count = 0;
+    for key in zero_keys {
+        let (zx, zy) = ((key >> 32) as u32, key as u32);
+        while next < by_x.len() && by_x[next].0 <= zx {
+            bit.add(by_x[next].1);
+            next += 1;
+        }
+        let below = head_y.partition_point(|&v| v <= zy);
+        if below > 0 {
+            count += bit.prefix(below - 1);
+        }
+    }
+    count
 }
 
 /// The chain heads as an anchor set: answers "which chains does `p`
@@ -584,7 +691,7 @@ mod tests {
                 let ws = random_weighted(n, dim, 4.0, &mut rng);
                 let index = DominanceIndex::build(ws.points());
                 let reference = ContendingPoints::compute_indexed(&ws, &index);
-                let (con, network) = discover_and_build(&ws);
+                let (con, network) = discover_and_build(&ws, Gadget::ByEdgeCount);
                 assert_eq!(
                     (con.zeros, con.ones),
                     (reference.zeros.clone(), reference.ones.clone()),
@@ -611,17 +718,17 @@ mod tests {
         let mut all_ones = WeightedSet::empty(3);
         all_ones.push(&[0.0, 0.0, 0.0], Label::One, 1.0);
         all_ones.push(&[1.0, 1.0, 1.0], Label::One, 1.0);
-        let (con, network) = discover_and_build(&all_ones);
+        let (con, network) = discover_and_build(&all_ones, Gadget::ByEdgeCount);
         assert!(con.is_empty() && network.is_none());
 
         // Zeros and ones present but no dominating pair.
         let mut incomparable = WeightedSet::empty(2);
         incomparable.push(&[0.0, 1.0], Label::One, 1.0);
         incomparable.push(&[1.0, 0.0], Label::Zero, 1.0);
-        let (con, network) = discover_and_build(&incomparable);
+        let (con, network) = discover_and_build(&incomparable, Gadget::ByEdgeCount);
         assert!(con.is_empty() && network.is_none());
 
-        let (con, network) = discover_and_build(&WeightedSet::empty(2));
+        let (con, network) = discover_and_build(&WeightedSet::empty(2), Gadget::ByEdgeCount);
         assert!(con.is_empty() && network.is_none());
     }
 
@@ -783,6 +890,154 @@ mod tests {
             .map(|(c, chain)| (c as u32, chain.len() as u32))
             .collect();
         assert_eq!(hits, full);
+    }
+
+    /// Error and per-point assignment read off a network's min cut, as
+    /// the solver reads them.
+    fn cut_readout(
+        ws: &WeightedSet,
+        con: &ContendingPoints,
+        network: Option<&ClassifierNetwork>,
+    ) -> (f64, Vec<Label>) {
+        let mut assignment = ws.labels().to_vec();
+        let Some(network) = network else {
+            return (0.0, assignment);
+        };
+        let cut = Dinic.solve(&network.net).min_cut(&network.net);
+        for (zi, &p) in con.zeros.iter().enumerate() {
+            if !cut.on_source_side(network.zero_nodes[zi]) {
+                assignment[p] = Label::One;
+            }
+        }
+        for (oi, &q) in con.ones.iter().enumerate() {
+            if cut.on_source_side(network.one_nodes[oi]) {
+                assignment[q] = Label::Zero;
+            }
+        }
+        (cut.weight, assignment)
+    }
+
+    /// Small grids with signed zeros: coordinates from
+    /// `{-0.0, +0.0, 1, …}`, so duplicates, cross-label duplicates and
+    /// `-0.0`/`+0.0` pairs are common.
+    fn signed_grid(n: usize, dim: usize, grid: u32, rng: &mut StdRng) -> WeightedSet {
+        let mut ws = WeightedSet::empty(dim);
+        for _ in 0..n {
+            let coords: Vec<f64> = (0..dim)
+                .map(|_| match rng.gen_range(0..=grid) {
+                    0 if rng.gen_bool(0.5) => -0.0,
+                    v => f64::from(v),
+                })
+                .collect();
+            ws.push(
+                &coords,
+                Label::from_bool(rng.gen_bool(0.5)),
+                rng.gen_range(1..10) as f64,
+            );
+        }
+        ws
+    }
+
+    #[test]
+    fn both_low_dim_gadgets_match_dense_error_and_assignment() {
+        let mut rng = StdRng::seed_from_u64(0x1AE0);
+        for dim in [1usize, 2] {
+            for trial in 0..80 {
+                let n = rng.gen_range(1..60);
+                let grid = [1u32, 2, 4, 30][trial % 4];
+                let ws = signed_grid(n, dim, grid, &mut rng);
+                let index = DominanceIndex::build(ws.points());
+                let reference = ContendingPoints::compute_indexed(&ws, &index);
+                let dense =
+                    (!reference.is_empty()).then(|| build_dense_network(&ws, &reference, &index));
+                let want = cut_readout(&ws, &reference, dense.as_ref());
+                for gadget in [
+                    Gadget::Ladder,
+                    Gadget::DivideAndConquer,
+                    Gadget::ByEdgeCount,
+                ] {
+                    let (con, network) = discover_and_build(&ws, gadget);
+                    assert_eq!(
+                        con, reference,
+                        "dim {dim} trial {trial} {gadget:?}: contending sets differ\n{ws:?}"
+                    );
+                    assert_eq!(network.is_some(), dense.is_some());
+                    let got = cut_readout(&ws, &con, network.as_ref());
+                    assert!(
+                        (got.0 - want.0).abs() < 1e-9,
+                        "dim {dim} trial {trial} {gadget:?}: error {} vs dense {}\n{ws:?}",
+                        got.0,
+                        want.0
+                    );
+                    assert_eq!(
+                        got.1, want.1,
+                        "dim {dim} trial {trial} {gadget:?}: assignment differs\n{ws:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edge_count_picks_the_smaller_gadget() {
+        let edges = |ws: &WeightedSet, gadget| {
+            discover_and_build(ws, gadget)
+                .1
+                .expect("the input contends")
+                .net
+                .num_edges()
+        };
+        // 64 ones, either on one chain (w = 1: one connector per zero,
+        // the ladder fits) or on an antichain (w = 64, and every zero
+        // dominates every head: 64 connectors per zero against
+        // ⌈log₂ 128⌉ = 7, so the divide-and-conquer gadget wins).
+        for (antichain, want_ladder) in [(false, true), (true, false)] {
+            let mut ws = WeightedSet::empty(2);
+            for i in 0..64 {
+                let y = if antichain { 63 - i } else { i };
+                ws.push(&[f64::from(i), f64::from(y)], Label::One, 1.0);
+                ws.push(&[f64::from(64 + i), f64::from(64 + i)], Label::Zero, 1.0);
+            }
+            let ladder = edges(&ws, Gadget::Ladder);
+            let dc = edges(&ws, Gadget::DivideAndConquer);
+            assert_ne!(ladder, dc);
+            let want = if want_ladder { ladder } else { dc };
+            assert_eq!(
+                edges(&ws, Gadget::ByEdgeCount),
+                want,
+                "antichain {antichain}"
+            );
+        }
+    }
+
+    #[test]
+    fn head_hit_count_equals_the_sweep_total() {
+        let mut rng = StdRng::seed_from_u64(0x1AE1);
+        for dim in [1usize, 2] {
+            for trial in 0..60 {
+                let n = rng.gen_range(0..300);
+                let grid = [1u32, 3, 20, 1000][trial % 4];
+                let ws = signed_grid(n, dim, grid, &mut rng);
+                let table = RankTable::build(ws.points());
+                let (x, y) = plane(&table);
+                let (zeros, ones): (Vec<usize>, Vec<usize>) =
+                    (0..n).partition(|&i| ws.label(i).is_zero());
+                let gather = |col: &[u32]| ones.iter().map(|&q| col[q]).collect::<Vec<u32>>();
+                let chains =
+                    TwoDimDecomposition::from_rank_columns(&gather(x), &gather(y)).into_chains();
+                let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
+                let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
+                let sweep = HeadSweep::new(&cols, &chains, &ones)
+                    .sweep(&zeros, &CancelToken::never())
+                    .unwrap();
+                let total: u64 = sweep.hits.iter().map(|(_, h)| h.len() as u64).sum();
+                assert_eq!(
+                    count_head_hits(x, y, &heads, &zeros),
+                    total,
+                    "dim {dim} trial {trial}"
+                );
+            }
+        }
     }
 
     #[test]

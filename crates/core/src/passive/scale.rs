@@ -46,9 +46,9 @@ pub struct ScaleSolution {
     /// Dominance width of the label-1 points (Lemma-6 chain count); 0
     /// when either label class is empty and the decomposition never ran.
     pub width: usize,
-    /// Nodes in the ladder flow network (0 when nothing contends).
+    /// Nodes in the flow network (0 when nothing contends).
     pub network_nodes: usize,
-    /// Edges in the ladder flow network (0 when nothing contends).
+    /// Edges in the flow network (0 when nothing contends).
     pub network_edges: usize,
     /// Resilience/residency report; `peak_rss_bytes` is stamped at the
     /// end of the solve, so it upper-bounds the pipeline's residency.
@@ -95,7 +95,13 @@ pub fn solve_passive_scale_cancellable(
         )));
     }
 
-    let out = ladder::discover_and_build_from_table_cancellable(table, labels, weights, token)?;
+    let out = ladder::discover_and_build_from_table_cancellable(
+        table,
+        labels,
+        weights,
+        ladder::Gadget::ByEdgeCount,
+        token,
+    )?;
     mc_obs::counter_add("passive.points", table.len() as u64);
     mc_obs::counter_add("passive.contending", out.con.len() as u64);
 
@@ -186,25 +192,21 @@ mod tests {
                     "dim {dim} trial {trial}: contending sets disagree"
                 );
                 // Flip counts match the full solver's assignment diff
-                // exactly for d ≥ 3, where both run the identical
-                // ladder pipeline (for d ≤ 2 the sweep gadget may pick
-                // a different optimal cut with the same weight).
-                if dim >= 3 {
-                    let mut to_one = 0;
-                    let mut to_zero = 0;
-                    for (i, &l) in ws.labels().iter().enumerate() {
-                        match (l, reference.assignment[i]) {
-                            (Label::Zero, Label::One) => to_one += 1,
-                            (Label::One, Label::Zero) => to_zero += 1,
-                            _ => {}
-                        }
+                // exactly: both run the identical table pipeline.
+                let mut to_one = 0;
+                let mut to_zero = 0;
+                for (i, &l) in ws.labels().iter().enumerate() {
+                    match (l, reference.assignment[i]) {
+                        (Label::Zero, Label::One) => to_one += 1,
+                        (Label::One, Label::Zero) => to_zero += 1,
+                        _ => {}
                     }
-                    assert_eq!(
-                        (scale.flips_to_one, scale.flips_to_zero),
-                        (to_one, to_zero),
-                        "dim {dim} trial {trial}: flip decisions disagree\n{ws:?}"
-                    );
                 }
+                assert_eq!(
+                    (scale.flips_to_one, scale.flips_to_zero),
+                    (to_one, to_zero),
+                    "dim {dim} trial {trial}: flip decisions disagree\n{ws:?}"
+                );
             }
         }
     }

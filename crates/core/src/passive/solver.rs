@@ -17,10 +17,14 @@
 //!    (Lemmas 16/17 prove this is monotone and optimal).
 //!
 //! Total cost `O(d·n²) + T_maxflow(n)`. The type-3 edge set is built by
-//! one of three interchangeable gadgets with identical min cuts (see
-//! [`NetworkStrategy`]): the paper-literal dense enumeration, the `d ≤ 2`
-//! divide-and-conquer sweep ladder, or the dimension-generic Lemma-6
-//! chain ladder (`O(w·n)` edges) that is the default for `d ≥ 3`.
+//! interchangeable gadgets with identical min cuts (see
+//! [`NetworkStrategy`]): the paper-literal dense enumeration, or the
+//! matrix-free table pipeline of `super::ladder`. That pipeline covers
+//! the contending label-1 points with a minimum chain cover (an
+//! `O(n log n)` patience sort at `d ≤ 2`, Lemma-6 Hopcroft–Karp above)
+//! and wires the `O(w·n)`-edge chain ladder on it. At `d ≤ 2` it builds
+//! the `O(n log n)`-edge divide-and-conquer gadget of `super::sparse`
+//! instead when an exact count shows the ladder would need more edges.
 //!
 //! # Example
 //!
@@ -38,6 +42,7 @@
 use crate::classifier::MonotoneClassifier;
 use crate::passive::certificate::Certificate;
 use crate::passive::contending::ContendingPoints;
+use crate::passive::ladder::Gadget;
 use mc_flow::{Capacity, Dinic, FlowNetwork, MaxFlowAlgorithm};
 use mc_geom::{bitmask_of, iter_ones, DominanceIndex, Label, WeightedSet};
 use mc_obs::{CancelToken, Cancelled};
@@ -58,24 +63,25 @@ pub struct PassiveSolution {
 
 /// Which type-3 connectivity gadget the passive solver builds.
 ///
-/// All three strategies produce networks with identical minimum cuts
+/// All strategies produce networks with identical minimum cuts
 /// (the gadget edges are all infinite and preserve zero→one
 /// reachability), so they differ only in edge count and build cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum NetworkStrategy {
-    /// Dimension-dispatched default: the `O(n log n)`-edge
-    /// divide-and-conquer sweep gadget for `d ≤ 2`, the `O(w·n)`-edge
-    /// chain ladder for `d ≥ 3`. An unset (or `auto`) `MC_FLOW_NET`
-    /// resolves here.
+    /// The default: the matrix-free table pipeline. It builds the
+    /// `O(w·n)`-edge chain ladder, except at `d ≤ 2` when the ladder's
+    /// exact connector count exceeds `|P₀|·⌈log₂ n⌉`; then it builds
+    /// the `O(n log n)`-edge divide-and-conquer gadget. An unset (or
+    /// `auto`) `MC_FLOW_NET` resolves here.
     #[default]
     Auto,
     /// The paper-literal Section-5.1 network — one infinite edge per
     /// dominating pair, `Θ(n²)` worst case. Kept as the tested
     /// reference path (`MC_FLOW_NET=dense`).
     Dense,
-    /// Force the dimension-generic chain ladder at any `d`, including
-    /// `d ≤ 2` (`MC_FLOW_NET=sparse`); used to cross-check the sweep
-    /// gadget against the generic one.
+    /// Always the chain ladder, at every `d` (`MC_FLOW_NET=sparse`);
+    /// used to cross-check the `d ≤ 2` divide-and-conquer gadget
+    /// against it.
     Sparse,
 }
 
@@ -206,7 +212,7 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
     /// the max flow into a verifiable dual [`Certificate`] — the packing
     /// of inversions proving the returned error optimal. Works with
     /// every network strategy (the decomposition walks flow paths
-    /// `source → zero → gadget… → one → sink`, a shape all three
+    /// `source → zero → gadget… → one → sink`, a shape all the
     /// builders share), so a portfolio referee can audit any engine's
     /// answer without re-solving densely.
     pub fn solve_certified_cancellable(
@@ -224,10 +230,12 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
 
     /// Like [`PassiveSolver::solve`], but reuses a prebuilt
     /// [`DominanceIndex`] over `data.points()` for contending-point
-    /// discovery and network construction (`d ≥ 3`; for `d ≤ 2` under
-    /// [`NetworkStrategy::Auto`] the sparse sweep is faster and the
-    /// index is ignored). The active solver uses this to share one index
-    /// between chain decomposition and the passive solve on its sample.
+    /// discovery and network construction at `d ≥ 3` (and for the
+    /// [`NetworkStrategy::Dense`] network at any `d`). At `d ≤ 2` the
+    /// index is ignored: the matrix-free table pipeline is faster, and
+    /// the answer equals [`PassiveSolver::solve`]'s. The active solver
+    /// uses this to share one index between chain decomposition and the
+    /// passive solve on its sample.
     ///
     /// # Panics
     ///
@@ -263,66 +271,65 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
 
         // Resolve the network strategy: an explicit `with_network` choice
         // wins; `Auto` defers to the `MC_FLOW_NET` env toggle (which
-        // itself defaults to `Auto` = dimension-dispatched).
+        // itself defaults to `Auto`).
         let strategy = match self.network {
             NetworkStrategy::Auto => NetworkStrategy::from_env(),
             s => s,
         };
-        let dim = data.dim();
 
-        // Route to a builder. Only the dense network (and a sparse solve
-        // that can reuse a caller-shared index for free) reads the
-        // `Θ(n²)` bitset matrix; the `d ≤ 2` sweep and the matrix-free
-        // ladder pipeline never build it — that is where the ladder's
-        // speedup lives, since the matrix fill would dwarf the
-        // `O(w·n·log n)` construction it feeds.
-        let use_sweep = dim <= 2 && strategy == NetworkStrategy::Auto;
+        // Route to a builder. Only the dense network (and a `d ≥ 3`
+        // ladder that can reuse a caller-shared index for free) reads
+        // the `Θ(n²)` bitset matrix; every other solve takes the
+        // matrix-free table pipeline, whose `O(n log n)`-to-`O(w·n)`
+        // construction the matrix fill would dwarf. All builders have
+        // identical min cuts; see `super::sparse` and `super::ladder`.
+        // Each tags itself with a child span so `--trace` shows which
+        // one ran.
         let owned_index;
-        let index = if strategy == NetworkStrategy::Dense && index.is_none() {
-            owned_index = DominanceIndex::try_build(data.points(), token)?;
-            Some(&owned_index)
-        } else {
-            index
+        let index = match (strategy, index) {
+            (NetworkStrategy::Dense, None) => {
+                owned_index = DominanceIndex::try_build(data.points(), token)?;
+                Some(&owned_index)
+            }
+            (NetworkStrategy::Dense, index) => index,
+            (_, Some(index)) if data.dim() >= 3 => Some(index),
+            _ => None,
         };
-
-        // All three builders (sweep gadget, chain ladder, paper-literal
-        // dense) have identical min cuts; see `super::sparse` and
-        // `super::ladder`. Each tags itself with a child span so
-        // `--trace` shows which one ran.
-        let (con, network) = if !use_sweep && strategy != NetworkStrategy::Dense && index.is_none()
-        {
-            // Matrix-free ladder: the chain binary searches double as
-            // Lemma-15 contending discovery.
-            let _span = mc_obs::span("build_network");
-            crate::passive::ladder::discover_and_build_cancellable(data, token)?
-        } else {
-            let con = {
-                let _span = mc_obs::span("contending");
-                if dim <= 2 {
-                    // The sweep is cheaper than the indexed scan and
-                    // yields the same set (tested in `sparse`),
-                    // whichever builder runs next.
-                    crate::passive::sparse::contending_sweep(data)
-                } else {
-                    ContendingPoints::compute_indexed(data, index.expect("index exists for d ≥ 3"))
-                }
-            };
-            token.poll()?;
-            let network = if con.is_empty() {
-                None
-            } else {
+        let (con, network) = match index {
+            None => {
+                // The chain binary searches double as Lemma-15
+                // contending discovery (the `d ≤ 2` gadget runs its own
+                // sweep).
                 let _span = mc_obs::span("build_network");
-                Some(match (strategy, index) {
-                    (_, None) => crate::passive::sparse::build_sparse_network(data, &con),
-                    (NetworkStrategy::Dense, Some(idx)) => build_dense_network(data, &con, idx),
-                    (_, Some(idx)) => crate::passive::ladder::build_ladder_network_cancellable(
-                        data, &con, idx, token,
-                    )?,
-                })
-            };
-            token.poll()?;
-            (con, network)
+                let gadget = if strategy == NetworkStrategy::Sparse {
+                    Gadget::Ladder
+                } else {
+                    Gadget::ByEdgeCount
+                };
+                crate::passive::ladder::discover_and_build_cancellable(data, gadget, token)?
+            }
+            Some(index) => {
+                let con = {
+                    let _span = mc_obs::span("contending");
+                    ContendingPoints::compute_indexed(data, index)
+                };
+                token.poll()?;
+                let network = if con.is_empty() {
+                    None
+                } else {
+                    let _span = mc_obs::span("build_network");
+                    Some(if strategy == NetworkStrategy::Dense {
+                        build_dense_network(data, &con, index)
+                    } else {
+                        crate::passive::ladder::build_ladder_network_cancellable(
+                            data, &con, index, token,
+                        )?
+                    })
+                };
+                (con, network)
+            }
         };
+        token.poll()?;
         mc_obs::counter_add("passive.points", n as u64);
         mc_obs::counter_add("passive.contending", con.len() as u64);
         // Start from the labels themselves; only contending points can flip.

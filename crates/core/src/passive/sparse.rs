@@ -1,4 +1,4 @@
-//! Sparsified flow networks for low-dimensional inputs.
+//! The `d ≤ 2` divide-and-conquer gadget of the classifier network.
 //!
 //! The paper's Section-5 construction inserts a type-3 edge for **every**
 //! dominating pair `(p, q) ∈ P₀^con × P₁^con`, which is `Θ(n²)` edges —
@@ -17,14 +17,20 @@
 //! edges are infinite, so no new finite cuts are introduced, and a zero
 //! reaches a one through the gadget iff it dominates it.
 //!
-//! 1D inputs embed as `(v, v)` and reuse the same builder.
+//! Each zero gets at most one connector per split level, `⌈log₂ n⌉` in
+//! all. The table pipeline of [`super::ladder`] builds this gadget only
+//! when its exact count shows the chain ladder would need more
+//! connectors than that bound; see [`super::ladder::Gadget`].
 //!
-//! Similarly, [`contending_sweep_2d`] finds the contending points with a
-//! single `O(n log n)` sweep instead of the generic `O(d·n²)` scan.
+//! Everything here works on dense rank columns (see [`plane`]): 1D
+//! inputs pass their one column as both `x` and `y`, and ranks already
+//! make `-0.0` and `+0.0` one coordinate. [`contending_sweep`] finds the
+//! contending points with a single `O(n log n)` sweep over the same
+//! columns instead of the generic `O(d·n²)` scan.
 
 use crate::passive::contending::ContendingPoints;
 use mc_flow::{Capacity, FlowNetwork, NodeId};
-use mc_geom::WeightedSet;
+use mc_geom::{Label, RankTable};
 
 /// A flow network for Problem 2 with sparse (gadget-based) type-3
 /// connectivity, plus the node ids of the contending points.
@@ -36,29 +42,41 @@ pub(crate) struct ClassifierNetwork {
     pub one_nodes: Vec<NodeId>,
 }
 
-/// Extracts the `(x, y)` view of point `i`: its two coordinates for
-/// `d = 2`, or `(v, v)` for `d = 1`. Zeroes are canonicalized to `+0.0`
-/// (`v + 0.0` maps `-0.0` there): dominance is IEEE `>=`, under which
-/// `-0.0` and `+0.0` are one value, but the sweep *orders* by
-/// `total_cmp`, which would otherwise put `-0.0` strictly first and let
-/// an equal-up-to-zero-sign cross-label pair dodge the ones-first
-/// tie-break (the bitset index canonicalizes the same way).
-fn xy(data: &WeightedSet, i: usize) -> (f64, f64) {
-    let p = data.points().point(i);
-    match p.len() {
-        1 => (p[0] + 0.0, p[0] + 0.0),
-        2 => (p[0] + 0.0, p[1] + 0.0),
-        d => unreachable!("sparse network requires d ≤ 2, got {d}"),
+/// The `(x, y)` rank columns of a `d ≤ 2` table: its two columns for
+/// `d = 2`, or the one column twice for `d = 1`.
+pub(crate) fn plane(table: &RankTable) -> (&[u32], &[u32]) {
+    match table.dim() {
+        1 | 2 => (table.column(0), table.column(table.dim() - 1)),
+        d => unreachable!("the plane view requires d ≤ 2, got {d}"),
     }
 }
 
-/// Builds the sparsified network for `d ≤ 2`.
+/// Point ids sorted by `(x, y)` with label-1 points first on full ties
+/// (reflexive dominance: an equal one counts as below a zero), packed
+/// as one `u128` key per point so the sort is a plain integer sort. Ids
+/// take the low 32 bits, as ranks do in [`RankTable`].
+fn sweep_order(x: &[u32], y: &[u32], ids: impl Iterator<Item = (usize, bool)>) -> Vec<u32> {
+    let mut keys: Vec<u128> = ids
+        .map(|(i, is_zero)| {
+            (u128::from(x[i]) << 96)
+                | (u128::from(y[i]) << 64)
+                | (u128::from(is_zero) << 32)
+                | i as u128
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|k| k as u32).collect()
+}
+
+/// Builds the divide-and-conquer network over the contending points of
+/// a `d ≤ 2` point set given as rank columns (see [`plane`]).
 pub(crate) fn build_sparse_network(
-    data: &WeightedSet,
+    x: &[u32],
+    y: &[u32],
+    weights: &[f64],
     con: &ContendingPoints,
 ) -> ClassifierNetwork {
     let _span = mc_obs::span("sweep");
-    debug_assert!(data.dim() <= 2);
     let source = 0;
     let sink = 1;
     let mut net = FlowNetwork::new(2 + con.len(), source, sink);
@@ -66,31 +84,31 @@ pub(crate) fn build_sparse_network(
     let one_nodes: Vec<NodeId> = (0..con.ones.len())
         .map(|i| 2 + con.zeros.len() + i)
         .collect();
+    let mut node = vec![0; weights.len()];
     for (zi, &p) in con.zeros.iter().enumerate() {
-        net.add_edge(source, zero_nodes[zi], data.weight(p));
+        net.add_edge(source, zero_nodes[zi], weights[p]);
+        node[p] = zero_nodes[zi];
     }
     for (oi, &q) in con.ones.iter().enumerate() {
-        net.add_edge(one_nodes[oi], sink, data.weight(q));
+        net.add_edge(one_nodes[oi], sink, weights[q]);
+        node[q] = one_nodes[oi];
     }
 
-    // Items: (x, y, is_one, node). Sorted by (x, y, ones-first) so that on
+    // Items: (y, is_one, node) in (x, y, ones-first) order, so that on
     // full coordinate ties a zero lands on the *right* side of the split
     // that separates it from an equal one (reflexive dominance counts).
-    let mut items: Vec<(f64, f64, bool, NodeId)> = Vec::with_capacity(con.len());
-    for (zi, &p) in con.zeros.iter().enumerate() {
-        let (x, y) = xy(data, p);
-        items.push((x, y, false, zero_nodes[zi]));
-    }
-    for (oi, &q) in con.ones.iter().enumerate() {
-        let (x, y) = xy(data, q);
-        items.push((x, y, true, one_nodes[oi]));
-    }
-    items.sort_by(|a, b| {
-        a.0.total_cmp(&b.0)
-            .then(a.1.total_cmp(&b.1))
-            // ones (true) first on full ties
-            .then(b.2.cmp(&a.2))
-    });
+    let ids = con
+        .zeros
+        .iter()
+        .map(|&p| (p, true))
+        .chain(con.ones.iter().map(|&q| (q, false)));
+    let items: Vec<(u32, bool, NodeId)> = sweep_order(x, y, ids)
+        .into_iter()
+        .map(|i| {
+            let i = i as usize;
+            (y[i], node[i] >= 2 + con.zeros.len(), node[i])
+        })
+        .collect();
 
     build_recursive(&mut net, &items);
 
@@ -102,21 +120,20 @@ pub(crate) fn build_sparse_network(
 }
 
 /// Recursively wires zeros on the right half to ones on the left half.
-fn build_recursive(net: &mut FlowNetwork, items: &[(f64, f64, bool, NodeId)]) {
+fn build_recursive(net: &mut FlowNetwork, items: &[(u32, bool, NodeId)]) {
     if items.len() <= 1 {
         return;
     }
     let mid = items.len() / 2;
     let (left, right) = items.split_at(mid);
 
-    // Left ones sorted by y ascending (stable: already sorted by (x, y),
-    // so re-sort by y only).
-    let mut ones_left: Vec<(f64, NodeId)> = left
+    // Left ones sorted by y ascending (stable).
+    let mut ones_left: Vec<(u32, NodeId)> = left
         .iter()
-        .filter(|it| it.2)
-        .map(|it| (it.1, it.3))
+        .filter(|it| it.1)
+        .map(|it| (it.0, it.2))
         .collect();
-    ones_left.sort_by(|a, b| a.0.total_cmp(&b.0));
+    ones_left.sort_by_key(|&(y, _)| y);
     if !ones_left.is_empty() {
         // Ladder: aux[i] reaches ones_left[0..=i].
         let mut aux: Vec<NodeId> = Vec::with_capacity(ones_left.len());
@@ -128,11 +145,11 @@ fn build_recursive(net: &mut FlowNetwork, items: &[(f64, f64, bool, NodeId)]) {
             }
             aux.push(a);
         }
-        for it in right.iter().filter(|it| !it.2) {
+        for it in right.iter().filter(|it| !it.1) {
             // Highest rung whose one has y ≤ the zero's y.
-            let count = ones_left.partition_point(|&(y, _)| y <= it.1);
+            let count = ones_left.partition_point(|&(y, _)| y <= it.0);
             if count > 0 {
-                net.add_edge(it.3, aux[count - 1], Capacity::Infinite);
+                net.add_edge(it.2, aux[count - 1], Capacity::Infinite);
             }
         }
     }
@@ -141,34 +158,25 @@ fn build_recursive(net: &mut FlowNetwork, items: &[(f64, f64, bool, NodeId)]) {
     build_recursive(net, right);
 }
 
-/// Sweep-based contending-point computation for `d ≤ 2` in `O(n log n)`.
+/// Sweep-based contending-point computation for `d ≤ 2` in `O(n log n)`
+/// over rank columns (see [`plane`]).
 ///
 /// A label-0 point contends iff some label-1 point is coordinate-wise
 /// `≤` it: sweeping in `(x, y, ones-first)` order, that is equivalent to
 /// "the minimum `y` among ones seen so far is `≤` its `y`". The label-1
 /// side is symmetric with the reversed sweep.
-pub(crate) fn contending_sweep(data: &WeightedSet) -> ContendingPoints {
-    debug_assert!(data.dim() <= 2);
-    let n = data.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let (xa, ya) = xy(data, a);
-        let (xb, yb) = xy(data, b);
-        xa.total_cmp(&xb)
-            .then(ya.total_cmp(&yb))
-            // ones first on full ties (a one at identical coordinates is
-            // "≤" for the forward sweep and "≥" for the backward sweep).
-            .then(data.label(b).cmp(&data.label(a)))
-    });
+pub(crate) fn contending_sweep(x: &[u32], y: &[u32], labels: &[Label]) -> ContendingPoints {
+    let ids = labels.iter().enumerate().map(|(i, l)| (i, l.is_zero()));
+    let order = sweep_order(x, y, ids);
 
     // Forward: zeros contending against ones below-left.
     let mut zeros = Vec::new();
-    let mut min_one_y = f64::INFINITY;
+    let mut min_one_y = u32::MAX;
     for &i in &order {
-        let (_, y) = xy(data, i);
-        if data.label(i).is_one() {
-            min_one_y = min_one_y.min(y);
-        } else if min_one_y <= y {
+        let i = i as usize;
+        if labels[i].is_one() {
+            min_one_y = min_one_y.min(y[i]);
+        } else if min_one_y <= y[i] {
             zeros.push(i);
         }
     }
@@ -176,12 +184,12 @@ pub(crate) fn contending_sweep(data: &WeightedSet) -> ContendingPoints {
     // before zeros on ties, so in reverse order zeros at identical
     // coordinates are seen before the one — as required.
     let mut ones = Vec::new();
-    let mut max_zero_y = f64::NEG_INFINITY;
+    let mut max_zero_y: Option<u32> = None;
     for &i in order.iter().rev() {
-        let (_, y) = xy(data, i);
-        if data.label(i).is_zero() {
-            max_zero_y = max_zero_y.max(y);
-        } else if max_zero_y >= y {
+        let i = i as usize;
+        if labels[i].is_zero() {
+            max_zero_y = max_zero_y.max(Some(y[i]));
+        } else if max_zero_y >= Some(y[i]) {
             ones.push(i);
         }
     }
@@ -194,9 +202,21 @@ pub(crate) fn contending_sweep(data: &WeightedSet) -> ContendingPoints {
 mod tests {
     use super::*;
     use mc_flow::{Dinic, MaxFlowAlgorithm};
-    use mc_geom::Label;
+    use mc_geom::WeightedSet;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn sweep(ws: &WeightedSet) -> ContendingPoints {
+        let table = RankTable::build(ws.points());
+        let (x, y) = plane(&table);
+        contending_sweep(x, y, ws.labels())
+    }
+
+    fn gadget(ws: &WeightedSet, con: &ContendingPoints) -> ClassifierNetwork {
+        let table = RankTable::build(ws.points());
+        let (x, y) = plane(&table);
+        build_sparse_network(x, y, ws.weights(), con)
+    }
 
     fn random_weighted(n: usize, dim: usize, grid: f64, rng: &mut StdRng) -> WeightedSet {
         let mut ws = WeightedSet::empty(dim);
@@ -218,9 +238,8 @@ mod tests {
             for trial in 0..60 {
                 let n = rng.gen_range(0..60);
                 let ws = random_weighted(n, dim, 5.0, &mut rng);
-                let sweep = contending_sweep(&ws);
                 let generic = ContendingPoints::compute_generic(&ws);
-                assert_eq!(sweep, generic, "dim {dim} trial {trial}: {ws:?}");
+                assert_eq!(sweep(&ws), generic, "dim {dim} trial {trial}: {ws:?}");
             }
         }
     }
@@ -252,7 +271,7 @@ mod tests {
                     }
                 }
                 let dense_value = Dinic.solve(&dense).value();
-                let sparse = build_sparse_network(&ws, &con);
+                let sparse = gadget(&ws, &con);
                 let sparse_value = Dinic.solve(&sparse.net).value();
                 assert!(
                     (dense_value - sparse_value).abs() < 1e-9,
@@ -266,8 +285,8 @@ mod tests {
     fn sparse_edge_count_is_near_linear() {
         let mut rng = StdRng::seed_from_u64(0x5EF0);
         let ws = random_weighted(4000, 2, 1e6, &mut rng);
-        let con = contending_sweep(&ws);
-        let sparse = build_sparse_network(&ws, &con);
+        let con = sweep(&ws);
+        let sparse = gadget(&ws, &con);
         let n = con.len();
         let bound = 20 * n * ((n as f64).log2().ceil() as usize + 1) + 2 * n + 16;
         assert!(
@@ -284,11 +303,11 @@ mod tests {
         let mut ws = WeightedSet::empty(2);
         ws.push(&[0.0, -0.0], Label::One, 5.0);
         ws.push(&[-0.0, 0.0], Label::Zero, 2.0);
-        let con = contending_sweep(&ws);
+        let con = sweep(&ws);
         assert_eq!(con.zeros, vec![1]);
         assert_eq!(con.ones, vec![0]);
         assert_eq!(con, ContendingPoints::compute_generic(&ws));
-        let sparse = build_sparse_network(&ws, &con);
+        let sparse = gadget(&ws, &con);
         assert_eq!(Dinic.solve(&sparse.net).value(), 2.0);
     }
 
@@ -299,10 +318,10 @@ mod tests {
         let mut ws = WeightedSet::empty(2);
         ws.push(&[3.0, 3.0], Label::One, 7.0);
         ws.push(&[3.0, 3.0], Label::Zero, 2.0);
-        let con = contending_sweep(&ws);
+        let con = sweep(&ws);
         assert_eq!(con.zeros, vec![1]);
         assert_eq!(con.ones, vec![0]);
-        let sparse = build_sparse_network(&ws, &con);
+        let sparse = gadget(&ws, &con);
         assert_eq!(Dinic.solve(&sparse.net).value(), 2.0);
     }
 }

@@ -78,7 +78,10 @@ fn passive_standalone_is_a_root_span() {
     let s = mc_obs::snapshot();
     let p = s.span("passive").expect("root passive span");
     assert_eq!(p.depth, 0);
-    assert!(s.span("passive/contending").is_some());
+    // d = 2: the table pipeline runs under `build_network`, with the
+    // rank table and the 2-D chain cover as named phases.
+    assert!(s.span("passive/build_network/rank_table").is_some());
+    assert!(s.span("passive/build_network/ladder/path_cover").is_some());
     assert_eq!(s.counter("passive.points"), 120);
 
     mc_obs::set_level(prev);

@@ -48,6 +48,7 @@
 use crate::dataset::PointSet;
 use crate::dominance::Dominance;
 use crate::error::GeomError;
+use crate::fenwick::Fenwick;
 use crate::kernel;
 use crate::parallel::parallel_chunks_mut;
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
@@ -457,6 +458,7 @@ impl RankTable {
     /// Cancellable twin of [`build`](Self::build); polls the token
     /// between the per-dimension sorts.
     pub fn try_build(points: &PointSet, token: &CancelToken) -> Result<Self, Cancelled> {
+        let _span = mc_obs::span("rank_table");
         Ok(Self {
             n: points.len(),
             dim: points.dim(),
@@ -846,40 +848,6 @@ pub fn count_dominating_pairs(points: &PointSet) -> u64 {
         p = q;
     }
     count
-}
-
-/// Binary indexed tree (Fenwick) over rank positions, used by the
-/// `d ≤ 2` dominance-pair sweep.
-struct Fenwick {
-    tree: Vec<u64>,
-}
-
-impl Fenwick {
-    fn new(len: usize) -> Self {
-        Self {
-            tree: vec![0; len + 1],
-        }
-    }
-
-    /// Increments position `i` (0-based).
-    fn add(&mut self, i: usize) {
-        let mut i = i + 1;
-        while i < self.tree.len() {
-            self.tree[i] += 1;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Sum of positions `0..=i`.
-    fn prefix(&self, i: usize) -> u64 {
-        let mut i = i + 1;
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
 }
 
 /// Naive pair count for cross-checking (`O(d·n²)`).

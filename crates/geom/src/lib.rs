@@ -23,6 +23,7 @@ pub mod bands;
 pub mod dataset;
 pub mod dominance;
 pub mod error;
+pub mod fenwick;
 pub mod index;
 pub mod kernel;
 pub mod label;
@@ -36,6 +37,7 @@ pub use bands::{band_partition, BandPartition};
 pub use dataset::{LabeledSet, PointSet, WeightedSet};
 pub use dominance::{dominates, incomparable, strictly_dominates, Dominance};
 pub use error::GeomError;
+pub use fenwick::Fenwick;
 pub use index::{
     bitmask_of, check_matrix_budget, check_matrix_budget_against, compress_column_ranks,
     compress_column_ranks_with_values, count_dominating_pairs, iter_ones, matrix_budget_bytes,

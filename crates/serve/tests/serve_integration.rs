@@ -13,7 +13,7 @@
 use mc_core::MonotoneClassifier;
 use mc_serve::{encode_classify, spawn, Client, ServeConfig};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::time::{Duration, Instant};
 
 fn temp_path(name: &str) -> PathBuf {
@@ -256,5 +256,58 @@ fn dimension_mismatch_is_an_error_not_a_crash() {
     assert_eq!(client.classify(&[vec![2.0, 2.0]]).unwrap().labels, vec![1]);
     // Empty batches are fine.
     assert_eq!(client.classify(&[]).unwrap().labels, Vec::<u8>::new());
+    server.shutdown_and_join();
+}
+
+#[test]
+fn metrics_on_another_connection_count_every_replied_request() {
+    // Once a client holds a classify reply, a `metrics` frame answered
+    // on any other connection must already count that request. Several
+    // client threads share one tally of replies received; each reads it
+    // after its own reply, asks for metrics on a second connection, and
+    // checks that the server has counted at least that many points.
+    let h = MonotoneClassifier::from_anchors(1, vec![vec![1.0]]);
+    let server = spawn(ServeConfig::default(), h).expect("bind");
+    let addr = server.addr();
+    const CLIENTS: u64 = 4;
+    const ROUNDS: u64 = 500;
+    const BATCH: u64 = 3;
+    let replied = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..CLIENTS {
+            s.spawn(|| {
+                let mut a = Client::connect(addr).expect("connect A");
+                let mut b = Client::connect(addr).expect("connect B");
+                let rows: Vec<Vec<f64>> = (0..BATCH).map(|j| vec![j as f64]).collect();
+                for round in 0..ROUNDS {
+                    a.classify(&rows).expect("classify");
+                    let seen = replied.fetch_add(1, SeqCst) + 1;
+                    let metrics = b.metrics().expect("metrics");
+                    let points = metrics
+                        .get("points")
+                        .and_then(mc_serve::JsonValue::as_u64)
+                        .unwrap();
+                    assert!(
+                        points >= seen * BATCH,
+                        "round {round}: {seen} replies received, server counted {points} points"
+                    );
+                }
+            });
+        }
+    });
+    let metrics = Client::connect(addr)
+        .expect("connect")
+        .metrics()
+        .expect("metrics");
+    let get = |k: &str| {
+        metrics
+            .get(k)
+            .and_then(mc_serve::JsonValue::as_u64)
+            .unwrap()
+    };
+    // Every classify and every earlier metrics frame, but not this one.
+    assert_eq!(get("requests"), 2 * CLIENTS * ROUNDS);
+    assert_eq!(get("points"), CLIENTS * ROUNDS * BATCH);
+    assert_eq!(get("errors"), 0);
     server.shutdown_and_join();
 }
