@@ -18,7 +18,9 @@
 //! views the split graph directly as the dominance index's bitset rows —
 //! no `DominanceDag` adjacency lists (Θ(n²) edges) are ever materialized —
 //! and runs `mc_matching::HopcroftKarpBitset`'s word-parallel phases. The
-//! adjacency-list reference path survives behind `MC_MATCHING=list`.
+//! adjacency-list reference path survives as [`MatchingEngine::List`],
+//! reached through [`ChainDecomposition::compute_with_engine`] or
+//! [`with_matching_override`].
 //! Over a [`RankOracle`] the same engine runs on cached rows when they
 //! fit the row-cache budget ([`crate::row_cache`]) and on rows computed
 //! on demand above it; both give the same matching.
@@ -45,26 +47,25 @@ pub enum MatchingEngine {
     /// rank bands, matched per band on worker threads, stitched across
     /// boundaries, and repaired to a global maximum matching (see
     /// [`crate::shard`]). Width-identical to the bitset engine; the
-    /// chains themselves may differ. Shard count from `MC_SHARDS`
-    /// (default: `max(worker threads, 2)`).
+    /// chains themselves may differ. Shard count from
+    /// [`with_matching_override`] (default: `max(worker threads, 2)`).
     Shard,
 }
 
 thread_local! {
     /// Per-thread engine override (see [`with_matching_override`]):
-    /// `(engine, shard count)`, with `None` deferring the count to
-    /// `MC_SHARDS`.
+    /// `(engine, shard count)`, with `None` selecting the default count.
     static MATCHING_OVERRIDE: std::cell::Cell<Option<(MatchingEngine, Option<usize>)>> =
         const { std::cell::Cell::new(None) };
 }
 
 /// Runs `f` with the Lemma-6 matching engine (and optionally the shard
-/// count) pinned for the *current thread*, overriding `MC_MATCHING` /
-/// `MC_SHARDS`. This is how callers that race engines in one process —
-/// the portfolio's `shard-hk` roster entry, the CLI's `--shards` flag —
-/// select an engine without mutating process-global environment state
-/// under concurrent readers. Nested overrides restore the outer one on
-/// exit (even on panic).
+/// count) pinned for the *current thread*; without an override every
+/// dispatcher runs the bitset engine. This is how callers select an
+/// engine — the portfolio's `shard-hk` roster entry, the CLI's
+/// `--shards` flag — without process-global state, so engines racing
+/// in one process never see each other's choice. Nested overrides
+/// restore the outer one on exit (even on panic).
 pub fn with_matching_override<T>(
     engine: MatchingEngine,
     shards: Option<usize>,
@@ -81,66 +82,25 @@ pub fn with_matching_override<T>(
 }
 
 impl MatchingEngine {
-    /// Reads the `MC_MATCHING` env toggle: `bitset` (the default),
-    /// `list`, or `shard`. A thread-local [`with_matching_override`]
-    /// wins over the environment. Unrecognised values warn once and
-    /// fall back to the default.
-    pub fn from_env() -> Self {
-        if let Some((engine, _)) = MATCHING_OVERRIDE.with(|c| c.get()) {
-            return engine;
-        }
-        match std::env::var("MC_MATCHING") {
-            Ok(v) if v.eq_ignore_ascii_case("list") => Self::List,
-            Ok(v) if v.eq_ignore_ascii_case("shard") => Self::Shard,
-            Ok(v) if v.eq_ignore_ascii_case("bitset") || v.is_empty() => Self::Bitset,
-            Ok(_) => {
-                mc_obs::warn_once(
-                    "mc_matching_env",
-                    "unrecognised MC_MATCHING value (expected 'bitset', 'list' or 'shard'); \
-                     using the bitset engine",
-                );
-                Self::Bitset
-            }
-            Err(_) => Self::Bitset,
-        }
+    /// The engine pinned by the current thread's
+    /// [`with_matching_override`]; the bitset engine otherwise.
+    fn current() -> Self {
+        MATCHING_OVERRIDE
+            .with(|c| c.get())
+            .map_or(Self::Bitset, |(engine, _)| engine)
     }
 }
 
-/// Default shard count when neither an override nor `MC_SHARDS` sets
-/// one: every worker thread gets a band, and even a single-core host
-/// gets two — the band-local matchings run on rows `K×` narrower than
-/// the global graph, so the decomposition usually wins on total work,
-/// not just on parallelism.
-fn default_shards() -> usize {
-    mc_geom::max_threads().max(2)
-}
-
-/// Resolves the shard count for a [`MatchingEngine::Shard`] solve:
-/// thread-local override first, then `MC_SHARDS`, then
-/// [`default_shards`]. Returns `None` — after a one-shot warning — when
-/// `MC_SHARDS` is set but malformed; callers fall back to the bitset
-/// engine, matching the env-parsing discipline of `mc_geom::parallel`.
-pub(crate) fn effective_shards() -> Option<usize> {
-    if let Some((_, Some(k))) = MATCHING_OVERRIDE.with(|c| c.get()) {
-        return Some(k);
-    }
-    match std::env::var_os("MC_SHARDS") {
-        None => Some(default_shards()),
-        Some(raw) => match raw
-            .into_string()
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(v) if v >= 1 => Some(v),
-            _ => {
-                mc_obs::warn_once(
-                    "mc_shards_env",
-                    "MC_SHARDS must be a positive integer; using the bitset engine",
-                );
-                None
-            }
-        },
-    }
+/// Shard count for a [`MatchingEngine::Shard`] solve: the current
+/// thread's override, else one band per worker thread and at least two
+/// — the band-local matchings run on rows `K×` narrower than the global
+/// graph, so the decomposition usually wins on total work, not just on
+/// parallelism.
+fn shard_count() -> usize {
+    MATCHING_OVERRIDE
+        .with(|c| c.get())
+        .and_then(|(_, shards)| shards)
+        .unwrap_or_else(|| mc_geom::max_threads().max(2))
 }
 
 /// A partition of point indices into chains, each sorted in ascending
@@ -196,29 +156,25 @@ impl ChainDecomposition {
 
     /// Cancellable twin of [`compute_from_oracle`](Self::compute_from_oracle).
     ///
-    /// Dispatches on the `MC_MATCHING` toggle (or a thread-local
-    /// [`with_matching_override`]): `shard` routes to
+    /// Dispatches on the thread's [`with_matching_override`]: the shard
+    /// engine routes to
     /// [`compute_sharded_cancellable`](Self::compute_sharded_cancellable);
-    /// everything else runs the word-parallel bitset engine. The
-    /// `MC_MATCHING=list` reference path needs materialized adjacency
-    /// lists, which is exactly what this entry point exists to avoid,
-    /// so that toggle warns once and is ignored here (the matching is
-    /// identical).
+    /// everything else runs the word-parallel bitset engine. The list
+    /// reference engine needs materialized adjacency lists, which is
+    /// exactly what this entry point exists to avoid, so selecting it
+    /// warns once and is ignored here (the matching is identical).
     pub fn compute_from_oracle_cancellable(
         oracle: &RankOracle,
         token: &mc_obs::CancelToken,
     ) -> Result<Self, mc_obs::Cancelled> {
-        match MatchingEngine::from_env() {
+        match MatchingEngine::current() {
             MatchingEngine::Shard => {
-                if let Some(k) = effective_shards() {
-                    return Self::compute_sharded_cancellable(oracle, k, token);
-                }
-                // Malformed MC_SHARDS: already warned, bitset below.
+                return Self::compute_sharded_cancellable(oracle, shard_count(), token);
             }
             MatchingEngine::List => {
                 mc_obs::warn_once(
                     "mc_matching_oracle_list",
-                    "MC_MATCHING=list has no matrix-free variant; the rank-oracle \
+                    "the list matching engine has no matrix-free variant; the rank-oracle \
                      path uses the bitset engine (the matching is identical)",
                 );
             }
@@ -253,7 +209,7 @@ impl ChainDecomposition {
         }
     }
 
-    /// Banded shard decomposition (`MC_MATCHING=shard`): cuts the
+    /// Banded shard decomposition ([`MatchingEngine::Shard`]): cuts the
     /// points into at most `shards` contiguous rank bands, matches each
     /// band independently on worker threads, stitches chains across
     /// band boundaries, and repairs the stitched matching to a global
@@ -278,35 +234,11 @@ impl ChainDecomposition {
     }
 
     /// Computes the decomposition from a prebuilt [`DominanceIndex`],
-    /// letting callers share one index between the Lemma-6 phase and
-    /// later dominance queries (e.g. the passive solve on a subsample).
-    /// Dispatches on the `MC_MATCHING` env toggle (bitset by default).
+    /// letting callers that already hold one skip a second dominance
+    /// pass. Dispatches on the thread's [`with_matching_override`]
+    /// (bitset by default).
     pub fn compute_from_index(index: &DominanceIndex) -> Self {
-        Self::compute_with_engine(index, MatchingEngine::from_env())
-    }
-
-    /// Cancellable twin of [`compute_from_index`](Self::compute_from_index).
-    /// The bitset engine threads the token into Hopcroft–Karp; the list
-    /// engine (exercised only via `MC_MATCHING=list`) polls once up
-    /// front and runs to completion.
-    pub fn compute_from_index_cancellable(
-        index: &DominanceIndex,
-        token: &mc_obs::CancelToken,
-    ) -> Result<Self, mc_obs::Cancelled> {
-        match MatchingEngine::from_env() {
-            MatchingEngine::Bitset => Self::compute_bitset_cancellable(index, token),
-            MatchingEngine::List => {
-                token.poll()?;
-                Ok(Self::from_dag(&DominanceDag::from_index(index)))
-            }
-            MatchingEngine::Shard => match effective_shards() {
-                Some(k) => {
-                    Self::compute_sharded_cancellable(&Self::oracle_from_index(index), k, token)
-                }
-                // Malformed MC_SHARDS: already warned, bitset fallback.
-                None => Self::compute_bitset_cancellable(index, token),
-            },
-        }
+        Self::compute_with_engine(index, MatchingEngine::current())
     }
 
     /// Computes the decomposition with an explicit engine choice.
@@ -314,10 +246,9 @@ impl ChainDecomposition {
         match engine {
             MatchingEngine::Bitset => Self::compute_bitset(index),
             MatchingEngine::List => Self::from_dag(&DominanceDag::from_index(index)),
-            MatchingEngine::Shard => Self::compute_sharded(
-                &Self::oracle_from_index(index),
-                effective_shards().unwrap_or_else(default_shards),
-            ),
+            MatchingEngine::Shard => {
+                Self::compute_sharded(&Self::oracle_from_index(index), shard_count())
+            }
         }
     }
 
@@ -340,20 +271,12 @@ impl ChainDecomposition {
     /// masked copies only for duplicated points), so no adjacency lists
     /// or DAG are ever materialized.
     pub fn compute_bitset(index: &DominanceIndex) -> Self {
-        Self::compute_bitset_cancellable(index, &mc_obs::CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// Cancellable twin of [`compute_bitset`](Self::compute_bitset):
-    /// the token is threaded into the Hopcroft–Karp engine (polled per
-    /// round and checkpointed on greedy-seed word scans) so a portfolio
-    /// race can stop a losing chain decomposition mid-matching.
-    pub fn compute_bitset_cancellable(
-        index: &DominanceIndex,
-        token: &mc_obs::CancelToken,
-    ) -> Result<Self, mc_obs::Cancelled> {
         let _span = mc_obs::span("path_cover");
-        Self::solve_rows(&BitsetGraph::from_index(index), token)
+        Self::solve_rows(
+            &BitsetGraph::from_index(index),
+            &mc_obs::CancelToken::never(),
+        )
+        .expect("a never-token cannot cancel")
     }
 
     /// Bitset Hopcroft–Karp over the split graph `g`, then chains from

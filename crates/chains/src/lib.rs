@@ -13,7 +13,8 @@
 //! By default the "DAG" step is virtual: the split graph is read
 //! directly off the `mc_geom::DominanceIndex` bitset rows and matched
 //! with the word-parallel `HopcroftKarpBitset` engine (see
-//! [`decomposition::MatchingEngine`] and the `MC_MATCHING` env toggle).
+//! [`decomposition::MatchingEngine`]; [`with_matching_override`] selects
+//! another engine for the current thread).
 //!
 //! # Example
 //!

@@ -1,5 +1,6 @@
 //! Banded shard decomposition of the Lemma-6 matching
-//! (`MC_MATCHING=shard`).
+//! ([`crate::MatchingEngine::Shard`], selected per thread with
+//! [`crate::with_matching_override`]).
 //!
 //! The sequential engines solve one Hopcroft–Karp instance over all `n`
 //! label-1 points: every BFS/DFS phase sweeps rows `n` bits wide. This

@@ -123,19 +123,14 @@ fn shard_agrees_on_figure1() {
 
 #[test]
 fn env_dispatch_routes_to_shard_engine() {
-    // `with_matching_override` beats the environment and carries the
-    // shard count; malformed MC_SHARDS handling is covered in the unit
-    // tests (warn_once + bitset fallback).
+    // `with_matching_override` is the only engine selector and carries
+    // the shard count; `None` takes the default count.
     let points = mc_chains::test_support::figure1_like_points();
     let index = DominanceIndex::build(&points);
     for shards in [None, Some(2), Some(64)] {
         let dec = with_matching_override(MatchingEngine::Shard, shards, || {
-            ChainDecomposition::compute_from_index_cancellable(
-                &index,
-                &mc_obs::CancelToken::never(),
-            )
-        })
-        .unwrap();
+            ChainDecomposition::compute_from_index(&index)
+        });
         dec.validate(&points).unwrap();
         assert_eq!(dec.width(), 6);
     }

@@ -38,7 +38,7 @@ use crate::error::McError;
 use crate::oracle::{FallibleOracle, FallibleSubsetOracle, InfallibleAdapter, LabelOracle};
 use crate::passive::solver::{PassiveSolution, PassiveSolver};
 use crate::report::SolveReport;
-use mc_geom::{DominanceIndex, PointSet, WeightedSet};
+use mc_geom::{PointSet, WeightedSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -148,7 +148,9 @@ impl ActiveSolver {
     ///
     /// # Panics
     ///
-    /// Panics if `oracle.len() != points.len()` or ε ∉ (0, 1].
+    /// Panics if `oracle.len() != points.len()`, if ε ∉ (0, 1], or if
+    /// the `d ≥ 3` dominator matrix would exceed
+    /// `MC_MATRIX_BUDGET_BYTES` (see [`ActiveSolver::try_solve`]).
     pub fn solve(&self, points: &PointSet, oracle: &mut dyn LabelOracle) -> ActiveSolution {
         let mut adapter = InfallibleAdapter::new(oracle);
         self.try_solve(points, &mut adapter)
@@ -164,7 +166,10 @@ impl ActiveSolver {
     /// degraded.
     ///
     /// `Err` is reserved for invalid inputs (oracle/points size
-    /// mismatch, ε ∉ (0, 1], …); oracle failures never abort the solve.
+    /// mismatch, ε ∉ (0, 1], …) and for [`McError::Budget`]: at `d ≥ 3`
+    /// the chain decomposition builds the `n × n` dominator matrix, and
+    /// it refuses up front when that matrix would exceed
+    /// `MC_MATRIX_BUDGET_BYTES`. Oracle failures never abort the solve.
     pub fn try_solve(
         &self,
         points: &PointSet,
@@ -173,16 +178,16 @@ impl ActiveSolver {
         if points.is_empty() {
             return self.try_solve_with_chains(points, &[], oracle);
         }
+        if points.dim() >= 3 {
+            mc_geom::check_matrix_budget(points.len())?;
+        }
         let _span = mc_obs::span("active");
         // Phase 1: minimum chain decomposition (Lemma 6, dispatched on
-        // dimensionality — see `crate::decompose::minimum_chains`). For
-        // d ≥ 3 the decomposition builds a `DominanceIndex` over P; we
-        // keep it and later restrict it to Σ for the passive phase
-        // instead of recomputing dominances from coordinates.
+        // dimensionality — see `crate::decompose::minimum_chains`).
         let t0 = Instant::now();
-        let (chains, index) = crate::decompose::minimum_chains_with_index(points);
+        let chains = crate::decompose::minimum_chains(points);
         let decomposition_time = t0.elapsed();
-        let mut sol = self.solve_with_chains_inner(points, &chains, oracle, index.as_ref())?;
+        let mut sol = self.solve_with_chains_inner(points, &chains, oracle)?;
         sol.decomposition_time = decomposition_time;
         Ok(sol)
     }
@@ -242,7 +247,7 @@ impl ActiveSolver {
         oracle: &mut dyn FallibleOracle,
     ) -> Result<ActiveSolution, McError> {
         let _span = mc_obs::span("active");
-        self.solve_with_chains_inner(points, chains, oracle, None)
+        self.solve_with_chains_inner(points, chains, oracle)
     }
 
     fn solve_with_chains_inner(
@@ -250,7 +255,6 @@ impl ActiveSolver {
         points: &PointSet,
         chains: &[Vec<usize>],
         oracle: &mut dyn FallibleOracle,
-        index: Option<&DominanceIndex>,
     ) -> Result<ActiveSolution, McError> {
         let partial = self.try_sampling_phase(points, chains, oracle)?;
 
@@ -258,22 +262,13 @@ impl ActiveSolver {
         // on Σ (Theorem 3's reduction to the passive solver). Under
         // degradation Σ is missing the unanswerable points, but it is
         // still a fully-labeled weighted set — the reduction is
-        // unaffected and the result stays monotone. When phase 1 built a
-        // dominance index over P, restrict it to Σ's rows (Σ ⊆ P) so the
-        // passive solver skips its own index build.
+        // unaffected and the result stays monotone.
         let t2 = Instant::now();
-        let solver = PassiveSolver::new();
         let PassiveSolution {
             classifier,
             weighted_error,
             ..
-        } = match index {
-            Some(idx) if partial.sigma.dim() >= 3 => {
-                let sub = idx.subset(&partial.sigma_globals);
-                solver.solve_with_index(&partial.sigma, &sub)
-            }
-            _ => solver.solve(&partial.sigma),
-        };
+        } = PassiveSolver::new().solve(&partial.sigma);
         let passive_time = t2.elapsed();
 
         Ok(ActiveSolution {
@@ -307,7 +302,6 @@ impl ActiveSolver {
         if n == 0 {
             return Ok(SamplingPhase {
                 sigma: WeightedSet::empty(points.dim().max(1)),
-                sigma_globals: Vec::new(),
                 probes_used: 0,
                 width: 0,
                 sampling_time: Duration::ZERO,
@@ -387,11 +381,9 @@ impl ActiveSolver {
             }
         }
         let mut sigma = WeightedSet::empty(points.dim());
-        let mut sigma_globals = Vec::new();
         for (global, slot) in merged.iter().enumerate() {
             if let Some((label, weight)) = slot {
                 sigma.push(points.point(global), *label, *weight);
-                sigma_globals.push(global);
             }
         }
         let sampling_time = t1.elapsed();
@@ -416,7 +408,6 @@ impl ActiveSolver {
 
         Ok(SamplingPhase {
             sigma,
-            sigma_globals,
             probes_used: oracle.probes_charged() - probes_before,
             width: w,
             sampling_time,
@@ -428,10 +419,6 @@ impl ActiveSolver {
 /// Intermediate result of the probing phases (before the passive solve).
 struct SamplingPhase {
     sigma: WeightedSet,
-    /// `sigma_globals[i]` is the index into the input point set of
-    /// `sigma`'s `i`-th row — the map needed to restrict a
-    /// [`DominanceIndex`] on P down to Σ.
-    sigma_globals: Vec<usize>,
     probes_used: usize,
     width: usize,
     sampling_time: Duration,
@@ -629,6 +616,42 @@ mod tests {
                 points: 10
             }
         ));
+    }
+
+    #[test]
+    fn sigma_error_equals_the_dense_optimum_on_sigma_at_d3_and_d4() {
+        // Theorem 3 ends with one passive solve on Σ; its error must be
+        // the optimum of the paper-literal dense network on the same Σ.
+        use crate::passive::NetworkStrategy;
+        let mut contended = 0;
+        for dim in [3usize, 4] {
+            for seed in 0..4 {
+                let mut rng = StdRng::seed_from_u64(0xD340 + seed);
+                let mut ls = LabeledSet::empty(dim);
+                for _ in 0..300 {
+                    let coords: Vec<f64> = (0..dim)
+                        .map(|_| rng.gen_range(0.0..6.0f64).round())
+                        .collect();
+                    let clean = coords.iter().sum::<f64>() > 3.0 * dim as f64;
+                    ls.push(&coords, Label::from_bool(clean != rng.gen_bool(0.15)));
+                }
+                let mut oracle = InMemoryOracle::from_labeled(&ls);
+                let sol = ActiveSolver::new(ActiveParams::new(0.5).with_seed(seed))
+                    .solve(ls.points(), &mut oracle);
+                let dense = PassiveSolver::new()
+                    .with_network(NetworkStrategy::Dense)
+                    .solve(&sol.sigma);
+                assert!(
+                    (sol.sigma_weighted_error - dense.weighted_error).abs()
+                        <= 1e-9 * (1.0 + sol.sigma.total_weight()),
+                    "dim {dim} seed {seed}: active {} vs dense {}",
+                    sol.sigma_weighted_error,
+                    dense.weighted_error
+                );
+                contended += usize::from(dense.weighted_error > 0.0);
+            }
+        }
+        assert!(contended > 0, "no Σ contended; the check is vacuous");
     }
 
     #[test]

@@ -28,41 +28,25 @@ use mc_geom::{DominanceIndex, PointSet};
 /// Computes a minimum chain decomposition (ascending dominance order
 /// within each chain), dispatching on dimensionality.
 pub fn minimum_chains(points: &PointSet) -> Vec<Vec<usize>> {
-    minimum_chains_with_index(points).0
-}
-
-/// Like [`minimum_chains`], additionally returning the
-/// [`DominanceIndex`] the `d ≥ 3` pipeline built (the `d ≤ 2` paths use
-/// sort/sweep algorithms and return `None`). The active solver reuses
-/// the index for the passive solve on its subsample via
-/// [`DominanceIndex::subset`].
-pub fn minimum_chains_with_index(points: &PointSet) -> (Vec<Vec<usize>>, Option<DominanceIndex>) {
     if points.is_empty() {
-        return (Vec::new(), None);
+        return Vec::new();
     }
     // Spanned here (not in mc-chains) so the d ≤ 2 sort/sweep dispatch
     // arms are timed under the same name as the Lemma-6 pipeline.
     let _span = mc_obs::span("chain_decomposition");
-    let (chains, index) = match points.dim() {
+    let chains = match points.dim() {
         1 => {
             let mut order: Vec<usize> = (0..points.len()).collect();
             order.sort_by(|&a, &b| points.point(a)[0].total_cmp(&points.point(b)[0]));
-            (vec![order], None)
+            vec![order]
         }
-        2 => (TwoDimDecomposition::compute(points).chains().to_vec(), None),
-        _ => {
-            // The Lemma-6 pipeline runs the bitset matching engine off
-            // this index by default (MC_MATCHING=list for the
-            // adjacency-list reference path).
-            let index = DominanceIndex::build(points);
-            let chains = ChainDecomposition::compute_from_index(&index)
-                .chains()
-                .to_vec();
-            (chains, Some(index))
-        }
+        2 => TwoDimDecomposition::compute(points).chains().to_vec(),
+        // The Lemma-6 pipeline: the bitset matching engine off the
+        // dominator matrix.
+        _ => ChainDecomposition::compute_from_index(&DominanceIndex::build(points)).into_chains(),
     };
     mc_obs::gauge_set("chains.width", chains.len() as f64);
-    (chains, index)
+    chains
 }
 
 #[cfg(test)]

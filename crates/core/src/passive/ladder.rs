@@ -52,127 +52,26 @@
 //! An empty row is exactly a Lemma-15 non-contender; the set bits, in
 //! ascending chain order, are the only chains that get a binary search.
 //!
-//! Two entry points share the construction:
-//!
-//! * [`build_ladder_network_cancellable`] — off a prebuilt full-set
-//!   [`DominanceIndex`] (the `solve_with_index` path at `d ≥ 3`, where
-//!   the matrix is already paid for).
-//! * [`discover_and_build_cancellable`] — **matrix-free**, the route of every other
-//!   non-dense solve: only the `O(d·n log n)` [`RankTable`] over all
-//!   points, plus, at `d ≥ 3`, a [`RankOracle`] gathered from its
-//!   label-1 rows, whose Lemma-6 split-graph rows are computed on
-//!   demand (`O(d·|P₁|)` resident — no quadratic structure at any
-//!   subset size; the rows are cached once when they fit the
-//!   `mc_chains::row_cache` budget). The same head sweep that places
-//!   the zero→rung edges doubles as Lemma-15 contending discovery: a
-//!   0-point contends iff its head row is non-empty, and the contending
-//!   1-points of chain `c` are exactly its prefix up to the deepest
-//!   rung any 0-point reaches. The sweep fans out over
-//!   `parallel_chunks`, which is what carries the `n = 10⁷` scale
-//!   solves of [`super::scale`].
+//! [`discover_and_build_cancellable`] is the route of every non-dense
+//! solve, and it is **matrix-free**: only the `O(d·n log n)`
+//! [`RankTable`] over all points, plus, at `d ≥ 3`, a [`RankOracle`]
+//! gathered from its label-1 rows, whose Lemma-6 split-graph rows are
+//! computed on demand (`O(d·|P₁|)` resident — no quadratic structure at
+//! any subset size; the rows are cached once when they fit the
+//! `mc_chains::row_cache` budget). The same head sweep that places the
+//! zero→rung edges doubles as Lemma-15 contending discovery: a 0-point
+//! contends iff its head row is non-empty, and the contending 1-points
+//! of chain `c` are exactly its prefix up to the deepest rung any
+//! 0-point reaches. The sweep fans out over `parallel_chunks`, which is
+//! what carries the `n = 10⁷` scale solves of [`super::scale`].
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::sparse::{build_sparse_network, contending_sweep, plane, ClassifierNetwork};
 use mc_chains::{ChainDecomposition, TwoDimDecomposition};
 use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::narrow_ge_into;
-use mc_geom::{
-    iter_ones, parallel_chunks, DominanceIndex, Fenwick, Label, RankOracle, RankTable, WeightedSet,
-};
+use mc_geom::{iter_ones, parallel_chunks, Fenwick, Label, RankOracle, RankTable, WeightedSet};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
-
-/// Builds the sparsified network for any dimension off a prebuilt
-/// [`DominanceIndex`] over `data.points()`. Production callers go
-/// through the cancellable twin; the equivalence tests keep this
-/// infallible spelling.
-#[cfg(test)]
-pub(crate) fn build_ladder_network(
-    data: &WeightedSet,
-    con: &ContendingPoints,
-    index: &DominanceIndex,
-) -> ClassifierNetwork {
-    build_ladder_network_cancellable(data, con, index, &CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// Cancellable twin of `build_ladder_network`: the token reaches the
-/// Hopcroft–Karp matching inside the chain decomposition, and the head
-/// sweep ticks a checkpoint per zero.
-pub(crate) fn build_ladder_network_cancellable(
-    data: &WeightedSet,
-    con: &ContendingPoints,
-    index: &DominanceIndex,
-    token: &CancelToken,
-) -> Result<ClassifierNetwork, Cancelled> {
-    let _span = mc_obs::span("ladder");
-    token.poll()?; // small inputs may never reach a checkpoint
-    let source = 0;
-    let sink = 1;
-    let mut net = FlowNetwork::new(2 + con.len(), source, sink);
-    let zero_nodes: Vec<NodeId> = (0..con.zeros.len()).map(|i| 2 + i).collect();
-    let one_nodes: Vec<NodeId> = (0..con.ones.len())
-        .map(|i| 2 + con.zeros.len() + i)
-        .collect();
-    for (zi, &p) in con.zeros.iter().enumerate() {
-        net.add_edge(source, zero_nodes[zi], data.weight(p));
-    }
-    for (oi, &q) in con.ones.iter().enumerate() {
-        net.add_edge(one_nodes[oi], sink, data.weight(q));
-    }
-    if con.zeros.is_empty() || con.ones.is_empty() {
-        return Ok(ClassifierNetwork {
-            net,
-            zero_nodes,
-            one_nodes,
-        });
-    }
-
-    // Lemma 6 on the contending ones. `subset` preserves order, so chain
-    // entries are positions into `con.ones` (hence into `one_nodes`).
-    let ones_index = index.subset(&con.ones);
-    let dec = ChainDecomposition::compute_from_index_cancellable(&ones_index, token)?;
-
-    // One rung ladder per chain; rungs[c][i] reaches ones 0..=i of chain c.
-    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(dec.width());
-    let mut rung_edges = 0u64;
-    for chain in dec.chains() {
-        let mut ladder: Vec<NodeId> = Vec::with_capacity(chain.len());
-        for (i, &local) in chain.iter().enumerate() {
-            let a = net.add_node();
-            net.add_edge(a, one_nodes[local], Capacity::Infinite);
-            if i > 0 {
-                net.add_edge(a, ladder[i - 1], Capacity::Infinite);
-            }
-            ladder.push(a);
-        }
-        rung_edges += 2 * ladder.len() as u64 - 1;
-        rungs.push(ladder);
-    }
-
-    // The index's dense rank columns order each dimension exactly like
-    // the coordinates (reflexive on duplicates, matching the dense
-    // builder's row-AND semantics), so the head sweep runs on them.
-    let cols: Vec<&[u32]> = (0..index.dim()).map(|k| index.rank_column(k)).collect();
-    let heads = HeadSweep::new(&cols, dec.chains(), &con.ones);
-    let sweep = heads.sweep(&con.zeros, token)?;
-    for (zi, hits) in &sweep.hits {
-        for &(c, cnt) in hits {
-            net.add_edge(
-                zero_nodes[*zi],
-                rungs[c as usize][cnt as usize - 1],
-                Capacity::Infinite,
-            );
-        }
-    }
-
-    mc_obs::counter_add("passive.ladder_chains", dec.width() as u64);
-    mc_obs::counter_add("passive.ladder_rungs", rung_edges);
-    Ok(ClassifierNetwork {
-        net,
-        zero_nodes,
-        one_nodes,
-    })
-}
 
 /// Which type-3 gadget the table pipeline builds at `d ≤ 2`; at `d ≥ 3`
 /// it always builds the chain ladder.
@@ -195,10 +94,9 @@ pub(crate) enum Gadget {
 
 /// Matrix-free pipeline: contending discovery *and* network
 /// construction without ever building the `Θ(n²)` full-set
-/// [`DominanceIndex`]. Returns the Lemma-15 contending sets (both
+/// `DominanceIndex`. Returns the Lemma-15 contending sets (both
 /// ascending) and, when they are non-empty, the sparsified network over
-/// exactly those points — identical min cut to what
-/// [`build_ladder_network`] produces from a full index.
+/// exactly those points — identical min cut to the dense network.
 #[cfg(test)]
 pub(crate) fn discover_and_build(
     data: &WeightedSet,
@@ -614,7 +512,7 @@ mod tests {
     use super::*;
     use crate::passive::solver::build_dense_network;
     use mc_flow::{Dinic, MaxFlowAlgorithm};
-    use mc_geom::Label;
+    use mc_geom::{DominanceIndex, Label};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -632,47 +530,22 @@ mod tests {
     }
 
     #[test]
-    fn ladder_min_cut_matches_dense() {
-        let mut rng = StdRng::seed_from_u64(0x1ADD);
-        for dim in [1usize, 2, 3, 4] {
-            for trial in 0..40 {
-                let n = rng.gen_range(1..50);
-                let ws = random_weighted(n, dim, 4.0, &mut rng);
-                let index = DominanceIndex::build(ws.points());
-                let con = ContendingPoints::compute_indexed(&ws, &index);
-                if con.is_empty() {
-                    continue;
-                }
-                let dense = build_dense_network(&ws, &con, &index);
-                let ladder = build_ladder_network(&ws, &con, &index);
-                let dv = Dinic.solve(&dense.net).value();
-                let lv = Dinic.solve(&ladder.net).value();
-                assert!(
-                    (dv - lv).abs() < 1e-9,
-                    "dim {dim} trial {trial}: dense {dv} vs ladder {lv}\n{ws:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn ladder_edge_count_is_bounded() {
         // ≤ 2·|ones| rung edges + w·|zeros| connector edges + the
         // finite source/sink edges — and never more than dense + rungs.
         let mut rng = StdRng::seed_from_u64(0x1ADE);
         let ws = random_weighted(600, 3, 6.0, &mut rng);
-        let index = DominanceIndex::build(ws.points());
-        let con = ContendingPoints::compute_indexed(&ws, &index);
-        assert!(!con.is_empty(), "grid data at n=600 must contend");
-        let ones_index = index.subset(&con.ones);
-        let w = ChainDecomposition::compute_from_index(&ones_index).width();
-        let ladder = build_ladder_network(&ws, &con, &index);
+        let (con, ladder) = discover_and_build(&ws, Gadget::ByEdgeCount);
+        let ladder = ladder.expect("grid data at n=600 must contend");
+        let ones: Vec<usize> = (0..ws.len()).filter(|&i| ws.label(i).is_one()).collect();
+        let w = ChainDecomposition::compute(&ws.points().subset(&ones)).width();
         let bound = con.len() + 2 * con.ones.len() + w * con.zeros.len();
         assert!(
             ladder.net.num_edges() <= bound,
             "ladder edges {} exceed O(w·n) bound {bound} (w = {w})",
             ladder.net.num_edges()
         );
+        let index = DominanceIndex::build(ws.points());
         let dense = build_dense_network(&ws, &con, &index);
         assert!(
             ladder.net.num_edges() <= dense.net.num_edges() + 2 * con.ones.len(),
@@ -739,13 +612,12 @@ mod tests {
         let mut ws = WeightedSet::empty(3);
         ws.push(&[2.0, 2.0, 2.0], Label::One, 7.0);
         ws.push(&[2.0, 2.0, 2.0], Label::Zero, 3.0);
-        let index = DominanceIndex::build(ws.points());
-        let con = ContendingPoints::compute_indexed(&ws, &index);
+        let (con, ladder) = discover_and_build(&ws, Gadget::ByEdgeCount);
         assert_eq!(
             (con.zeros.as_slice(), con.ones.as_slice()),
             (&[1][..], &[0][..])
         );
-        let ladder = build_ladder_network(&ws, &con, &index);
+        let ladder = ladder.expect("the duplicate pair contends");
         assert_eq!(Dinic.solve(&ladder.net).value(), 3.0);
     }
 
@@ -1042,18 +914,18 @@ mod tests {
 
     #[test]
     fn one_sided_contention_builds_no_gadget() {
-        // All-ones input: nothing contends, but even with a forced con
-        // set on one side only, the builder must not panic.
+        // Zeros that dominate no chain head reach no rung: the sweep
+        // finds no contention and no network is built, while both
+        // labels are present.
         let mut ws = WeightedSet::empty(3);
-        ws.push(&[0.0, 0.0, 0.0], Label::One, 1.0);
         ws.push(&[1.0, 1.0, 1.0], Label::One, 1.0);
-        let index = DominanceIndex::build(ws.points());
-        let con = ContendingPoints {
-            zeros: vec![],
-            ones: vec![0, 1],
-        };
-        let ladder = build_ladder_network(&ws, &con, &index);
-        assert_eq!(ladder.net.num_edges(), 2); // sink edges only
-        assert_eq!(Dinic.solve(&ladder.net).value(), 0.0);
+        ws.push(&[2.0, 2.0, 2.0], Label::One, 1.0);
+        ws.push(&[0.0, 0.0, 0.0], Label::Zero, 1.0);
+        ws.push(&[3.0, 0.0, 3.0], Label::Zero, 1.0);
+        for gadget in [Gadget::ByEdgeCount, Gadget::Ladder] {
+            let (con, network) = discover_and_build(&ws, gadget);
+            assert!(con.is_empty(), "{gadget:?}");
+            assert!(network.is_none(), "{gadget:?}");
+        }
     }
 }

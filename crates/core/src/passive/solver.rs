@@ -71,17 +71,16 @@ pub enum NetworkStrategy {
     /// The default: the matrix-free table pipeline. It builds the
     /// `O(w·n)`-edge chain ladder, except at `d ≤ 2` when the ladder's
     /// exact connector count exceeds `|P₀|·⌈log₂ n⌉`; then it builds
-    /// the `O(n log n)`-edge divide-and-conquer gadget. An unset (or
-    /// `auto`) `MC_FLOW_NET` resolves here.
+    /// the `O(n log n)`-edge divide-and-conquer gadget.
     #[default]
     Auto,
     /// The paper-literal Section-5.1 network — one infinite edge per
     /// dominating pair, `Θ(n²)` worst case. Kept as the tested
-    /// reference path (`MC_FLOW_NET=dense`).
+    /// reference path (`mcc passive --net dense`). The only strategy
+    /// that builds the `n × n` dominator matrix.
     Dense,
-    /// Always the chain ladder, at every `d` (`MC_FLOW_NET=sparse`);
-    /// used to cross-check the `d ≤ 2` divide-and-conquer gadget
-    /// against it.
+    /// Always the chain ladder, at every `d` (`--net sparse`); used to
+    /// cross-check the `d ≤ 2` divide-and-conquer gadget against it.
     Sparse,
 }
 
@@ -99,23 +98,6 @@ impl NetworkStrategy {
             None
         }
     }
-
-    /// Reads the `MC_FLOW_NET` env toggle: `auto` (the default),
-    /// `dense`, or `sparse`. Unrecognised values warn once and fall back
-    /// to the default, mirroring `MC_MATCHING`.
-    pub fn from_env() -> Self {
-        match std::env::var("MC_FLOW_NET") {
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
-                mc_obs::warn_once(
-                    "mc_flow_net_env",
-                    "unrecognised MC_FLOW_NET value (expected 'auto', 'dense' or 'sparse'); \
-                     using auto",
-                );
-                Self::Auto
-            }),
-            Err(_) => Self::Auto,
-        }
-    }
 }
 
 /// Solver for Problem 2 (passive weighted monotone classification),
@@ -129,7 +111,7 @@ pub struct PassiveSolver<A: MaxFlowAlgorithm = Dinic> {
 
 impl PassiveSolver<Dinic> {
     /// Solver using the default max-flow algorithm (Dinic) and the
-    /// [`NetworkStrategy::Auto`] network (which defers to `MC_FLOW_NET`).
+    /// [`NetworkStrategy::Auto`] network.
     pub fn new() -> Self {
         Self {
             algorithm: Dinic,
@@ -147,9 +129,7 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
         }
     }
 
-    /// Overrides the network-building strategy. An explicit setting wins
-    /// over the `MC_FLOW_NET` env toggle (which only applies while the
-    /// solver is at [`NetworkStrategy::Auto`]).
+    /// Overrides the network-building strategy.
     pub fn with_network(mut self, network: NetworkStrategy) -> Self {
         self.network = network;
         self
@@ -175,11 +155,7 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
                 }
             }
         }
-        let strategy = match self.network {
-            NetworkStrategy::Auto => NetworkStrategy::from_env(),
-            s => s,
-        };
-        if strategy == NetworkStrategy::Dense {
+        if self.network == NetworkStrategy::Dense {
             mc_geom::check_matrix_budget(data.len())?;
         }
         Ok(self.solve(data))
@@ -205,7 +181,7 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<PassiveSolution, Cancelled> {
-        Ok(self.solve_inner_cancellable(data, None, token, false)?.0)
+        Ok(self.solve_inner_cancellable(data, token, false)?.0)
     }
 
     /// Like [`PassiveSolver::solve_cancellable`], but also decomposes
@@ -220,7 +196,7 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
         data: &WeightedSet,
         token: &CancelToken,
     ) -> Result<(PassiveSolution, Certificate), Cancelled> {
-        let (solution, certificate) = self.solve_inner_cancellable(data, None, token, true)?;
+        let (solution, certificate) = self.solve_inner_cancellable(data, token, true)?;
         let certificate = certificate.unwrap_or(Certificate {
             optimal_error: solution.weighted_error,
             charges: Vec::new(),
@@ -228,29 +204,9 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
         Ok((solution, certificate))
     }
 
-    /// Like [`PassiveSolver::solve`], but reuses a prebuilt
-    /// [`DominanceIndex`] over `data.points()` for contending-point
-    /// discovery and network construction at `d ≥ 3` (and for the
-    /// [`NetworkStrategy::Dense`] network at any `d`). At `d ≤ 2` the
-    /// index is ignored: the matrix-free table pipeline is faster, and
-    /// the answer equals [`PassiveSolver::solve`]'s. The active solver
-    /// uses this to share one index between chain decomposition and the
-    /// passive solve on its sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` was not built over exactly `data.points()`.
-    pub fn solve_with_index(&self, data: &WeightedSet, index: &DominanceIndex) -> PassiveSolution {
-        assert_eq!(index.len(), data.len(), "index/point-set size mismatch");
-        self.solve_inner_cancellable(data, Some(index), &CancelToken::never(), false)
-            .expect("a never-token cannot cancel")
-            .0
-    }
-
     fn solve_inner_cancellable(
         &self,
         data: &WeightedSet,
-        index: Option<&DominanceIndex>,
         token: &CancelToken,
         certify: bool,
     ) -> Result<(PassiveSolution, Option<Certificate>), Cancelled> {
@@ -269,65 +225,34 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
             ));
         }
 
-        // Resolve the network strategy: an explicit `with_network` choice
-        // wins; `Auto` defers to the `MC_FLOW_NET` env toggle (which
-        // itself defaults to `Auto`).
-        let strategy = match self.network {
-            NetworkStrategy::Auto => NetworkStrategy::from_env(),
-            s => s,
-        };
-
-        // Route to a builder. Only the dense network (and a `d ≥ 3`
-        // ladder that can reuse a caller-shared index for free) reads
-        // the `Θ(n²)` bitset matrix; every other solve takes the
-        // matrix-free table pipeline, whose `O(n log n)`-to-`O(w·n)`
-        // construction the matrix fill would dwarf. All builders have
-        // identical min cuts; see `super::sparse` and `super::ladder`.
-        // Each tags itself with a child span so `--trace` shows which
-        // one ran.
-        let owned_index;
-        let index = match (strategy, index) {
-            (NetworkStrategy::Dense, None) => {
-                owned_index = DominanceIndex::try_build(data.points(), token)?;
-                Some(&owned_index)
-            }
-            (NetworkStrategy::Dense, index) => index,
-            (_, Some(index)) if data.dim() >= 3 => Some(index),
-            _ => None,
-        };
-        let (con, network) = match index {
-            None => {
-                // The chain binary searches double as Lemma-15
-                // contending discovery (the `d ≤ 2` gadget runs its own
-                // sweep).
+        // Route to a builder. Only the dense reference network reads the
+        // `Θ(n²)` bitset matrix; every other solve takes the matrix-free
+        // table pipeline, whose `O(n log n)`-to-`O(w·n)` construction the
+        // matrix fill would dwarf. All builders have identical min cuts;
+        // see `super::sparse` and `super::ladder`. Each tags itself with
+        // a child span so `--trace` shows which one ran.
+        let (con, network) = if self.network == NetworkStrategy::Dense {
+            let index = DominanceIndex::try_build(data.points(), token)?;
+            let con = {
+                let _span = mc_obs::span("contending");
+                ContendingPoints::compute_indexed(data, &index)
+            };
+            token.poll()?;
+            let network = (!con.is_empty()).then(|| {
                 let _span = mc_obs::span("build_network");
-                let gadget = if strategy == NetworkStrategy::Sparse {
-                    Gadget::Ladder
-                } else {
-                    Gadget::ByEdgeCount
-                };
-                crate::passive::ladder::discover_and_build_cancellable(data, gadget, token)?
-            }
-            Some(index) => {
-                let con = {
-                    let _span = mc_obs::span("contending");
-                    ContendingPoints::compute_indexed(data, index)
-                };
-                token.poll()?;
-                let network = if con.is_empty() {
-                    None
-                } else {
-                    let _span = mc_obs::span("build_network");
-                    Some(if strategy == NetworkStrategy::Dense {
-                        build_dense_network(data, &con, index)
-                    } else {
-                        crate::passive::ladder::build_ladder_network_cancellable(
-                            data, &con, index, token,
-                        )?
-                    })
-                };
-                (con, network)
-            }
+                build_dense_network(data, &con, &index)
+            });
+            (con, network)
+        } else {
+            // The chain binary searches double as Lemma-15 contending
+            // discovery (the `d ≤ 2` gadget runs its own sweep).
+            let _span = mc_obs::span("build_network");
+            let gadget = if self.network == NetworkStrategy::Sparse {
+                Gadget::Ladder
+            } else {
+                Gadget::ByEdgeCount
+            };
+            crate::passive::ladder::discover_and_build_cancellable(data, gadget, token)?
         };
         token.poll()?;
         mc_obs::counter_add("passive.points", n as u64);
@@ -413,8 +338,8 @@ impl<A: MaxFlowAlgorithm> PassiveSolver<A> {
 /// `row(q) AND zeros_mask` per contending label-1 point `q` instead of
 /// an `O(d·|P₀|·|P₁|)` coordinate scan. Still `Θ(n²)` edges in the worst
 /// case; kept as the tested reference path behind
-/// [`NetworkStrategy::Dense`] / `MC_FLOW_NET=dense` (the default for
-/// `d ≥ 3` is now the `O(w·n)` chain ladder of `super::ladder`).
+/// [`NetworkStrategy::Dense`] (the default for `d ≥ 3` is the `O(w·n)`
+/// chain ladder of `super::ladder`).
 ///
 /// Edge insertion order matches the old pairwise scan exactly — each
 /// zero node's forward edges arrive in ascending one-index order and

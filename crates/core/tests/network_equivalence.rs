@@ -6,7 +6,7 @@
 
 use mc_core::find_monotonicity_violation;
 use mc_core::passive::{NetworkStrategy, PassiveSolver};
-use mc_geom::{DominanceIndex, Label, WeightedSet};
+use mc_geom::{Label, WeightedSet};
 use proptest::prelude::*;
 
 /// Rows of (coords ≤ 4-dim, label, weight); each case truncates the
@@ -68,23 +68,6 @@ proptest! {
         check_strategy(&ws, NetworkStrategy::Auto, dense.weighted_error);
         // Dense itself must satisfy its own invariants too.
         check_strategy(&ws, NetworkStrategy::Dense, dense.weighted_error);
-    }
-
-    /// `solve_with_index` ignores the index at `d ≤ 2` and must give
-    /// exactly `solve`'s answer at every dimension.
-    #[test]
-    fn solve_with_index_equals_solve(rows in rows_strategy(60), dim in 1usize..4) {
-        let ws = build(&rows, dim);
-        let index = DominanceIndex::build(ws.points());
-        let solver = PassiveSolver::new().with_network(NetworkStrategy::Auto);
-        let plain = solver.solve(&ws);
-        let indexed = solver.solve_with_index(&ws, &index);
-        prop_assert!((plain.weighted_error - indexed.weighted_error).abs() < 1e-9);
-        prop_assert_eq!(plain.contending, indexed.contending);
-        if dim <= 2 {
-            prop_assert_eq!(&plain.assignment, &indexed.assignment);
-            prop_assert_eq!(plain.weighted_error, indexed.weighted_error);
-        }
     }
 
     /// Heavy duplicate pressure: coordinates from a 2-value grid force

@@ -115,7 +115,7 @@ pub fn matrix_bytes(n: usize) -> u64 {
 /// refuse with [`GeomError::MatrixBudget`] instead of attempting an
 /// allocation that would OOM. Unset means unlimited; a set-but-invalid
 /// value (non-numeric, zero) is ignored with a one-shot warning, like
-/// the `MC_FLOW_NET` / `MC_MATCHING` knobs.
+/// `MC_THREADS`.
 pub fn matrix_budget_bytes() -> Option<u64> {
     let raw = std::env::var_os("MC_MATRIX_BUDGET_BYTES")?;
     match raw
@@ -201,6 +201,7 @@ impl DominanceIndex {
     /// the partial matrix is dropped); the `O(n²/64)` `d ≤ 2` sweeps
     /// and the rank sorts poll at phase boundaries.
     pub fn try_build(points: &PointSet, token: &CancelToken) -> Result<Self, Cancelled> {
+        let _span = mc_obs::span("index_build");
         token.poll()?;
         let n = points.len();
         let dim = points.dim();
@@ -363,69 +364,6 @@ impl DominanceIndex {
     pub fn num_dominating_pairs(&self) -> u64 {
         let total: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
         total - self.n as u64
-    }
-
-    /// Restriction of the index to `indices` (in the given order): the
-    /// result is exactly `DominanceIndex::build` of the corresponding
-    /// point subset, but extracted from the existing matrix instead of
-    /// re-running the compare kernel. This is how one index built on `P`
-    /// is shared with a solve on a sample `Σ ⊆ P`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn subset(&self, indices: &[usize]) -> Self {
-        for &i in indices {
-            assert!(i < self.n, "subset index {i} out of range ({})", self.n);
-        }
-        let m = indices.len();
-        let dim = self.dim;
-        let words = m.div_ceil(64);
-
-        // Re-rank each dimension: dense ranks of the old ranks restricted
-        // to the subset (order-preserving, so dominance is unchanged).
-        let mut ranks = vec![0u32; dim * m];
-        let mut order: Vec<u32> = (0..m as u32).collect();
-        for k in 0..dim {
-            let old = &self.ranks[k * self.n..(k + 1) * self.n];
-            order.sort_unstable_by_key(|&i| old[indices[i as usize]]);
-            let col = &mut ranks[k * m..(k + 1) * m];
-            let mut rank = 0u32;
-            for pos in 0..m {
-                if pos > 0
-                    && old[indices[order[pos] as usize]] != old[indices[order[pos - 1] as usize]]
-                {
-                    rank += 1;
-                }
-                col[order[pos] as usize] = rank;
-            }
-        }
-        let dups = duplicate_groups(m, dim, &ranks);
-
-        // Gather the sub-matrix bit by bit (rows parallel for large m).
-        let mut bits = vec![0u64; m * words];
-        parallel_chunks_mut(&mut bits, words, |rows, out| {
-            for (local, r) in rows.enumerate() {
-                let old_row = self.dominators(indices[r]);
-                let new_row = &mut out[local * words..(local + 1) * words];
-                for (c, &j) in indices.iter().enumerate() {
-                    if get_bit(old_row, j) {
-                        set_bit(new_row, c);
-                    }
-                }
-            }
-        });
-
-        Self {
-            n: m,
-            dim,
-            words,
-            ranks,
-            dup_group: dups.group,
-            dup_members: dups.members,
-            dup_offsets: dups.offsets,
-            bits,
-        }
     }
 }
 
@@ -992,26 +930,6 @@ mod tests {
     }
 
     #[test]
-    fn subset_equals_rebuild() {
-        let mut rng = StdRng::seed_from_u64(0x5B5);
-        for dim in [1usize, 2, 4] {
-            let n = 50;
-            let points = random_points(n, dim, 4.0, &mut rng);
-            let index = DominanceIndex::build(&points);
-            let picks: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
-            let sub = index.subset(&picks);
-            let rebuilt = DominanceIndex::build(&points.subset(&picks));
-            assert_eq!(sub.len(), rebuilt.len());
-            for i in 0..picks.len() {
-                for j in 0..picks.len() {
-                    assert_eq!(sub.compare(i, j), rebuilt.compare(i, j), "dim {dim}");
-                    assert_eq!(sub.equal_points(i, j), rebuilt.equal_points(i, j));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn dominators_and_into_reports_hits() {
         let points = PointSet::from_values_1d(&[1.0, 2.0, 3.0]);
         let index = DominanceIndex::build(&points);
@@ -1031,7 +949,6 @@ mod tests {
         let empty = DominanceIndex::build(&PointSet::new(3));
         assert!(empty.is_empty());
         assert_eq!(empty.num_dominating_pairs(), 0);
-        assert!(empty.subset(&[]).is_empty());
 
         let one = DominanceIndex::build(&PointSet::from_rows(2, &[vec![1.0, 2.0]]));
         assert_eq!(one.len(), 1);
@@ -1111,10 +1028,6 @@ mod tests {
         assert_eq!(index.dup_group_members(2), &[0, 2, 4]);
         assert_eq!(index.dup_group_members(3), &[3, 5]);
         assert_eq!(index.dup_group_members(1), &[1]);
-        // Subset restriction rebuilds the member lists consistently.
-        let sub = index.subset(&[0, 2, 3, 5]);
-        assert_eq!(sub.dup_group_members(0), &[0, 1]);
-        assert_eq!(sub.dup_group_members(2), &[2, 3]);
     }
 
     #[test]

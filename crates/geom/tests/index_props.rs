@@ -76,29 +76,6 @@ proptest! {
         check_against_naive(&points);
     }
 
-    /// Restricting the index must be indistinguishable from rebuilding it
-    /// on the restricted point set.
-    #[test]
-    fn subset_equals_rebuild(points in point_sets(24, 3), keep_mask in prop::collection::vec(prop::bool::ANY, 24)) {
-        let keep: Vec<usize> = (0..points.len()).filter(|&i| keep_mask.get(i).copied().unwrap_or(false)).collect();
-        let sub_points = {
-            let mut ps = PointSet::new(points.dim());
-            for &i in &keep {
-                ps.push(points.point(i));
-            }
-            ps
-        };
-        let restricted = DominanceIndex::build(&points).subset(&keep);
-        let rebuilt = DominanceIndex::build(&sub_points);
-        prop_assert_eq!(restricted.len(), rebuilt.len());
-        for a in 0..keep.len() {
-            for b in 0..keep.len() {
-                prop_assert_eq!(restricted.compare(a, b), rebuilt.compare(a, b));
-                prop_assert_eq!(restricted.equal_points(a, b), rebuilt.equal_points(a, b));
-            }
-        }
-    }
-
     /// The Fenwick sweep (d ≤ 2) and the bitset popcount must both equal
     /// the naive ordered-pair count.
     #[test]

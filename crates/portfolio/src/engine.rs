@@ -32,7 +32,8 @@ pub enum EngineSpec {
     /// decomposition computed by the banded shard engine
     /// (`mc_chains::shard`): per-band matchings on worker threads,
     /// stitched and repaired to the same width as the sequential
-    /// engines. Shard count from `MC_SHARDS` (or its default).
+    /// engines. Default shard count: one band per worker thread, at
+    /// least two.
     ShardHk,
     /// Fault injector: panics immediately. The coordinator must isolate
     /// it and keep racing.
@@ -204,7 +205,7 @@ impl EngineSpec {
                 .solve_certified_cancellable(data, token),
             EngineSpec::ShardHk => mc_chains::with_matching_override(
                 mc_chains::MatchingEngine::Shard,
-                None, // shard count from MC_SHARDS or its default
+                None, // the default shard count
                 || solver(NetworkStrategy::Sparse).solve_certified_cancellable(data, token),
             ),
             EngineSpec::Panic => panic!("injected fault: the panic engine always dies"),

@@ -155,6 +155,7 @@ const USAGE: &str = "usage:
   mcc passive  <data.csv> [--weighted] [--out classifier.csv]
                [--net auto|dense|sparse] [--shards N] [--trace]
                [--metrics-out metrics.jsonl]
+               --shards N: banded shard matching with N bands (d >= 3)
                [--telemetry ts.jsonl] [--sample-ms MS] [--stall-window-ms MS]
                [--watch-abort]
                [--portfolio] [--engines e1,e2,...] [--time-limit SECS] [--no-fallback]
@@ -496,7 +497,7 @@ fn cmd_passive_impl(
     let path = pos
         .first()
         .ok_or_else(|| CliError::Usage("passive: missing <data.csv>".into()))?;
-    // --net overrides the MC_FLOW_NET env toggle; unset defers to it.
+    // --net picks the network builder; unset is the table pipeline.
     let network = match get_value(values, "net") {
         Some(v) => NetworkStrategy::parse(&v).ok_or_else(|| {
             CliError::Param(format!("--net: expected auto, dense or sparse, got {v:?}"))
@@ -504,8 +505,8 @@ fn cmd_passive_impl(
         None => NetworkStrategy::Auto,
     };
     // --shards routes the Lemma-6 chain decomposition through the
-    // banded shard engine, like MC_MATCHING=shard MC_SHARDS=N but
-    // scoped to this solve (thread-local override, no env mutation).
+    // banded shard engine with N bands, scoped to this solve
+    // (thread-local override).
     let shards = match get_value(values, "shards") {
         Some(v) => Some(v.parse::<usize>().ok().filter(|&s| s >= 1).ok_or_else(|| {
             CliError::Param(format!("--shards: expected a positive integer, got {v:?}"))
@@ -533,8 +534,8 @@ fn cmd_passive_impl(
         flags.contains(&"portfolio".to_string()) || cli_engines.is_some() || env_engines.is_some();
     if portfolio_mode && shards.is_some() {
         return Err(CliError::Usage(
-            "--shards applies to a single solve; for the portfolio set MC_SHARDS \
-             and include shard-hk in --engines"
+            "--shards applies to a single solve; for the portfolio include shard-hk \
+             in --engines (it uses the default shard count)"
                 .into(),
         ));
     }

@@ -749,7 +749,8 @@ fn passive_shards_flag_rejects_bad_values() {
         assert_eq!(out.status.code(), Some(5), "--shards {bad} must exit 5");
         assert!(String::from_utf8_lossy(&out.stderr).contains("--shards"));
     }
-    // --shards is a per-solve override; the portfolio reads MC_SHARDS.
+    // --shards is a per-solve override; the portfolio's shard-hk engine
+    // takes the default shard count.
     let out = mcc()
         .args(["passive"])
         .arg(&data)
@@ -757,6 +758,87 @@ fn passive_shards_flag_rejects_bad_values() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// A small `d = 3` entity-matching file, generated through the CLI.
+fn entity_matching_d3(name: &str) -> PathBuf {
+    let data = write_temp(name, "");
+    let out = mcc()
+        .args(["generate", "entity-matching"])
+        .arg(&data)
+        .args(["--n", "300", "--seed", "2"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    data
+}
+
+#[test]
+fn active_refuses_a_dominator_matrix_over_the_budget() {
+    // At d ≥ 3 the chain decomposition builds the n × n matrix
+    // (300 points: 1.5 kB), so a 1 kB budget must refuse with exit 8.
+    let data = entity_matching_d3("budget_d3.csv");
+    let out = mcc()
+        .args(["active"])
+        .arg(&data)
+        .env("MC_MATRIX_BUDGET_BYTES", "1000")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(8));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("MC_MATRIX_BUDGET_BYTES"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
+    // d = 2 builds no matrix, so the same budget does not apply.
+    let demo = write_temp("budget_d2.csv", DEMO);
+    let out = mcc()
+        .args(["active"])
+        .arg(&demo)
+        .env("MC_MATRIX_BUDGET_BYTES", "1000")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn retired_engine_env_vars_leave_the_default_route() {
+    // MC_FLOW_NET, MC_MATCHING and MC_SHARDS are not read: the solve
+    // takes the table pipeline with the bitset matching, says nothing
+    // about the variables, and prints the default answer.
+    let data = entity_matching_d3("retired_env.csv");
+    let run = |retired: bool| {
+        let mut cmd = mcc();
+        cmd.args(["passive"]).arg(&data).arg("--trace");
+        if retired {
+            cmd.env("MC_FLOW_NET", "dense")
+                .env("MC_MATCHING", "list")
+                .env("MC_SHARDS", "0");
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let plain = run(false);
+    let out = run(true);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for span in ["ladder", "hopcroft_karp_bitset"] {
+        assert!(stderr.contains(span), "missing {span} in:\n{stderr}");
+    }
+    for span in [" dense ", "dag_build", "path_cover_sharded"] {
+        assert!(!stderr.contains(span), "unexpected {span} in:\n{stderr}");
+    }
+    assert!(!stderr.contains("warn"), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&plain.stdout)
+    );
 }
 
 #[test]
