@@ -5,8 +5,8 @@
 //! resident (`d·n` f64s) and hands back a
 //! [`MonotoneClassifier`](crate::classifier::MonotoneClassifier) built
 //! from those coordinates. At `n = 10⁷` the coordinates themselves are
-//! the wall: a columnar reader can stream them through
-//! [`mc_geom::compress_column_ranks`] one dimension at a time, after
+//! the wall: a columnar reader can stream them into the rank kernel
+//! ([`mc_geom::try_rank_columns`]) one dimension at a time, after
 //! which only the `O(d·n)` u32 [`RankTable`] — not the f64s — needs to
 //! exist. Dominance is a rank comparison, so the *solve* never misses
 //! them; only the anchor-representation classifier would, and at this

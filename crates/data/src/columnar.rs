@@ -3,15 +3,15 @@
 //! CSV keeps every coordinate resident twice (text + parsed rows), which
 //! is exactly the wall the streaming solve of `mc_core::passive::scale`
 //! exists to avoid. This module defines a minimal binary format, `MCC1`,
-//! laid out **column-major** so a reader can feed
-//! [`mc_geom::compress_column_ranks`] one dimension at a time and never
-//! hold more than a single `f64` column plus the accumulated `u32` rank
-//! table:
+//! laid out **column-major** so a reader can stream one dimension at a
+//! time into the rank kernel ([`mc_geom::try_rank_columns`]) and never
+//! hold more than the `4·d·n`-byte `u32` rank table plus at most
+//! `min(d, threads)` sort buffers of `16·n` bytes — no `f64` column:
 //!
 //! ```text
 //! magic   4 bytes  b"MCC1"
 //! dim     u32 LE   number of feature dimensions (1 ..= 64)
-//! n       u64 LE   number of points
+//! n       u64 LE   number of points (at most u32::MAX)
 //! col 0   n × f64 LE
 //! …
 //! col d-1 n × f64 LE
@@ -25,7 +25,7 @@
 //! the banded minority-positive scale workload from a counter-based
 //! generator, `O(1)` resident no matter the `n`.
 
-use mc_geom::{compress_column_ranks, Label, RankTable, WeightedSet};
+use mc_geom::{try_rank_columns, Label, RankTable, WeightedSet};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -37,6 +37,10 @@ pub const MAGIC: [u8; 4] = *b"MCC1";
 /// solvers target; the cap exists so a corrupt header cannot demand an
 /// absurd allocation.
 pub const MAX_DIM: u32 = 64;
+
+/// Most points a `MCC1` file may declare: point indices and ranks are
+/// `u32` throughout the solvers.
+pub const MAX_POINTS: u64 = u32::MAX as u64;
 
 const HEADER_BYTES: u64 = 4 + 4 + 8;
 
@@ -54,6 +58,11 @@ pub enum ColumnarError {
     BadDim {
         /// The declared value.
         dim: u32,
+    },
+    /// The declared point count is above [`MAX_POINTS`].
+    TooManyPoints {
+        /// The declared value.
+        n: u64,
     },
     /// The file's byte length disagrees with its header.
     Truncated {
@@ -97,6 +106,9 @@ impl std::fmt::Display for ColumnarError {
             }
             ColumnarError::BadDim { dim } => {
                 write!(f, "columnar dim {dim} out of range (1 ..= {MAX_DIM})")
+            }
+            ColumnarError::TooManyPoints { n } => {
+                write!(f, "columnar n {n} out of range (at most {MAX_POINTS})")
             }
             ColumnarError::Truncated { expected, actual } => write!(
                 f,
@@ -162,7 +174,14 @@ impl ColumnarDataset {
         let mut buf8 = [0u8; 8];
         file.read_exact(&mut buf8)?;
         let n = u64::from_le_bytes(buf8);
-        let expected = HEADER_BYTES + (dim as u64) * n * 8 + n + n * 8;
+        if n > MAX_POINTS {
+            return Err(ColumnarError::TooManyPoints { n });
+        }
+        // Per point: `dim` coordinates, a label byte and a weight.
+        let expected = (u64::from(dim) * 8 + 1 + 8)
+            .checked_mul(n)
+            .and_then(|payload| payload.checked_add(HEADER_BYTES))
+            .ok_or(ColumnarError::TooManyPoints { n })?;
         if expected != actual {
             return Err(ColumnarError::Truncated { expected, actual });
         }
@@ -196,13 +215,27 @@ impl ColumnarDataset {
     /// Reads feature column `k` into `out` (cleared first). Rejects
     /// non-finite coordinates — rank compression has no order for NaN.
     pub fn read_column_into(&mut self, k: usize, out: &mut Vec<f64>) -> Result<(), ColumnarError> {
+        out.clear();
+        out.reserve(self.n);
+        self.read_column_with(k, |v| out.push(v))
+    }
+
+    /// Streams feature column `k` through `sink`, stopping at the first
+    /// non-finite coordinate with [`ColumnarError::NonFinite`].
+    fn read_column_with(
+        &mut self,
+        k: usize,
+        mut sink: impl FnMut(f64),
+    ) -> Result<(), ColumnarError> {
         assert!(k < self.dim, "dimension {k} out of range ({})", self.dim);
         self.seek_to(HEADER_BYTES + (k as u64) * (self.n as u64) * 8)?;
-        read_f64s(&mut self.file, self.n, out)?;
-        if let Some(index) = out.iter().position(|v| !v.is_finite()) {
-            return Err(ColumnarError::NonFinite { dim: k, index });
-        }
-        Ok(())
+        read_f64s_with(&mut self.file, self.n, |index, v| {
+            if !v.is_finite() {
+                return Err(ColumnarError::NonFinite { dim: k, index });
+            }
+            sink(v);
+            Ok(())
+        })
     }
 
     /// Reads and validates the label column.
@@ -224,39 +257,40 @@ impl ColumnarDataset {
     /// Reads and validates the weight column.
     pub fn read_weights(&mut self) -> Result<Vec<f64>, ColumnarError> {
         self.seek_to(HEADER_BYTES + (self.dim as u64) * (self.n as u64) * 8 + self.n as u64)?;
-        let mut weights = Vec::new();
-        read_f64s(&mut self.file, self.n, &mut weights)?;
-        for (index, &value) in weights.iter().enumerate() {
+        let mut weights = Vec::with_capacity(self.n);
+        read_f64s_with(&mut self.file, self.n, |index, value| {
             if !(value.is_finite() && value > 0.0) {
                 return Err(ColumnarError::BadWeight { index, value });
             }
-        }
+            weights.push(value);
+            Ok(())
+        })?;
         Ok(weights)
     }
 
-    /// Builds the `O(d·n)` [`RankTable`] by streaming one column at a
-    /// time through [`compress_column_ranks`]. Peak residency beyond the
-    /// returned table is a single `n × f64` column buffer — the format's
-    /// whole reason to exist. The coordinates are gone when this
-    /// returns; dominance queries live on as rank comparisons.
+    /// Builds the `O(d·n)` [`RankTable`] (span `rank_table`) by reading
+    /// each column's bytes straight into the rank kernel's sort buffer
+    /// ([`try_rank_columns`]). Reads run on the calling thread in column
+    /// order, so the first non-finite coordinate reported is the first
+    /// in file order; the sorts run column-parallel. Peak residency
+    /// beyond the returned table is at most `min(d, threads)` buffers of
+    /// `16·n` bytes — no `f64` column, the format's whole reason to
+    /// exist. The coordinates are gone when this returns; dominance
+    /// queries live on as rank comparisons.
     pub fn rank_table(&mut self) -> Result<RankTable, ColumnarError> {
-        let mut ranks: Vec<u32> = Vec::with_capacity(self.dim * self.n);
-        let mut column: Vec<f64> = Vec::new();
+        let _span = mc_obs::span("rank_table");
+        let (n, dim) = (self.n, self.dim);
         // Progress only — loading is not cancellable, so the checkpoint
         // rides a never-token and just publishes one unit per value
         // streamed into `progress.columnar_load.*`.
         let token = mc_obs::CancelToken::never();
-        let mut cp = mc_obs::Checkpoint::with_progress(
-            &token,
-            "columnar_load",
-            self.dim as u64 * self.n as u64,
-        );
-        for k in 0..self.dim {
-            self.read_column_into(k, &mut column)?;
-            ranks.extend(compress_column_ranks(&column));
-            let _ = cp.tick(self.n as u64);
-        }
-        Ok(RankTable::from_rank_columns(self.n, self.dim, ranks))
+        let mut cp = mc_obs::Checkpoint::with_progress(&token, "columnar_load", (dim * n) as u64);
+        let ranks = try_rank_columns(n, dim, |k, keys| -> Result<(), ColumnarError> {
+            self.read_column_with(k, |v| keys.push(v))?;
+            let _ = cp.tick(n as u64);
+            Ok(())
+        })?;
+        Ok(RankTable::from_rank_columns(n, dim, ranks))
     }
 
     /// Loads the whole file into a row-major [`WeightedSet`] — the
@@ -284,22 +318,29 @@ impl ColumnarDataset {
     }
 }
 
-fn read_f64s(r: &mut impl Read, n: usize, out: &mut Vec<f64>) -> Result<(), ColumnarError> {
-    out.clear();
-    out.reserve(n);
+/// Reads `n` little-endian `f64`s, handing each to `sink` with its
+/// index; the first error `sink` returns stops the read.
+fn read_f64s_with(
+    r: &mut impl Read,
+    n: usize,
+    mut sink: impl FnMut(usize, f64) -> Result<(), ColumnarError>,
+) -> Result<(), ColumnarError> {
     // Chunked converts keep the byte staging buffer bounded regardless
-    // of n (the f64 output is the caller's to budget).
+    // of n (what the values become is the sink's to budget).
     const CHUNK: usize = 1 << 16;
-    let mut bytes = vec![0u8; CHUNK * 8];
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = remaining.min(CHUNK);
+    let mut bytes = vec![0u8; CHUNK.min(n) * 8];
+    let mut done = 0;
+    while done < n {
+        let take = (n - done).min(CHUNK);
         let buf = &mut bytes[..take * 8];
         r.read_exact(buf)?;
-        for chunk in buf.chunks_exact(8) {
-            out.push(f64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        for (i, chunk) in buf.chunks_exact(8).enumerate() {
+            sink(
+                done + i,
+                f64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
+            )?;
         }
-        remaining -= take;
+        done += take;
     }
     Ok(())
 }
@@ -600,6 +641,96 @@ mod tests {
             ColumnarDataset::open(&path),
             Err(ColumnarError::Truncated { .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes `columns` (all of one length) with label 0 and weight 1.
+    fn write_columns(path: &Path, columns: &[Vec<f64>]) {
+        let n = columns[0].len();
+        let mut w = ColumnarWriter::create(path, columns.len(), n).unwrap();
+        for column in columns {
+            w.column(column).unwrap();
+        }
+        w.labels(&vec![Label::Zero; n]).unwrap();
+        w.weights(&vec![1.0; n]).unwrap();
+        w.finish().unwrap();
+    }
+
+    /// Above the parallel threshold the column sorts run on worker
+    /// threads, split unevenly for odd `d`; the table must equal the
+    /// in-memory build either way.
+    #[test]
+    fn rank_table_matches_in_memory_build_in_parallel_and_inline() {
+        let path = temp_path("ranks_parallel");
+        let n = mc_geom::parallel::DEFAULT_PAR_THRESHOLD + 77;
+        for dim in 1..=5 {
+            let columns: Vec<Vec<f64>> = (0..dim)
+                .map(|k| {
+                    (0..n)
+                        .map(|i| match mix(k as u64, i as u64, 3) % 8 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            _ => unit(mix(k as u64, i as u64, 5)) - 0.5,
+                        })
+                        .collect()
+                })
+                .collect();
+            write_columns(&path, &columns);
+            let mut ds = ColumnarDataset::open(&path).unwrap();
+            let reference = RankTable::build(ds.to_weighted_set().unwrap().points());
+            let parallel = ds.rank_table().unwrap();
+            let inline = mc_geom::with_sequential(|| ds.rank_table().unwrap());
+            for k in 0..dim {
+                assert_eq!(
+                    parallel.column(k),
+                    reference.column(k),
+                    "d {dim} column {k}"
+                );
+                assert_eq!(inline.column(k), reference.column(k), "d {dim} column {k}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Columns are read in order, so a NaN in column 2 is reported even
+    /// though column 3 holds an earlier `+∞`, at its first index.
+    #[test]
+    fn rank_table_reports_the_first_non_finite_column() {
+        let path = temp_path("first_nonfinite");
+        let n = mc_geom::parallel::DEFAULT_PAR_THRESHOLD + 10;
+        let mut columns = vec![vec![0.25; n]; 4];
+        columns[2][1500] = f64::NAN;
+        columns[2][1700] = f64::NAN;
+        columns[3][3] = f64::INFINITY;
+        write_columns(&path, &columns);
+        let mut ds = ColumnarDataset::open(&path).unwrap();
+        assert!(matches!(
+            ds.rank_table(),
+            Err(ColumnarError::NonFinite {
+                dim: 2,
+                index: 1500
+            })
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A header whose `n` makes the length check wrap around `u64`
+    /// (`16 + 17·n ≡ 34` for `d = 1`) must be refused, not opened.
+    #[test]
+    fn rejects_point_counts_beyond_u32() {
+        let path = temp_path("huge_n");
+        for n in [17_361_641_481_138_401_522u64, MAX_POINTS + 1] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&n.to_le_bytes());
+            bytes.resize(34, 0);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                ColumnarDataset::open(&path),
+                Err(ColumnarError::TooManyPoints { n: found }) if found == n
+            ));
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -50,7 +50,7 @@ use crate::dominance::Dominance;
 use crate::error::GeomError;
 use crate::fenwick::Fenwick;
 use crate::kernel;
-use crate::parallel::parallel_chunks_mut;
+use crate::parallel::{dispatch_width, parallel_chunks_mut, parallel_items_mut};
 use mc_obs::cancel::{CancelToken, Cancelled, Checkpoint};
 
 /// Identifies `-0.0` with `0.0` so that rank order matches the IEEE
@@ -388,13 +388,15 @@ pub struct RankTable {
 }
 
 impl RankTable {
-    /// Builds the rank columns in `O(d·n log n)`.
+    /// Builds the rank columns in `O(d·n log n)` through the rank kernel
+    /// ([`try_rank_columns`]): besides the `4·d·n`-byte table, at most
+    /// `min(d, threads)` sort buffers of `16·n` bytes are live.
     pub fn build(points: &PointSet) -> Self {
         Self::try_build(points, &CancelToken::never()).expect("a never-token cannot cancel")
     }
 
     /// Cancellable twin of [`build`](Self::build); polls the token
-    /// between the per-dimension sorts.
+    /// before each column is loaded into the kernel.
     pub fn try_build(points: &PointSet, token: &CancelToken) -> Result<Self, Cancelled> {
         let _span = mc_obs::span("rank_table");
         Ok(Self {
@@ -435,9 +437,9 @@ impl RankTable {
     /// Assembles a table from prepared column-major rank columns
     /// (`ranks[k * n + i]`), the streaming entry point: callers that
     /// cannot hold all coordinates resident (e.g. a columnar file at
-    /// `n = 10⁷`) compress one dimension at a time with
-    /// [`compress_column_ranks`] and hand the concatenated columns here,
-    /// so peak residency stays one `f64` column plus the `u32` ranks.
+    /// `n = 10⁷`) feed [`try_rank_columns`] one column at a time and
+    /// hand its output here, so peak residency stays the `u32` ranks
+    /// plus at most `min(d, threads)` sort buffers of `16·n` bytes.
     ///
     /// # Panics
     ///
@@ -448,35 +450,125 @@ impl RankTable {
     }
 }
 
-/// Dense rank compression of a single coordinate column — the
-/// per-dimension kernel of [`RankTable::build`], exposed for streaming
-/// builders that load one column at a time. Identical semantics:
-/// `-0.0` and `0.0` share a rank, `±∞` sentinels order naturally,
-/// `NaN` is unsupported.
-pub fn compress_column_ranks(values: &[f64]) -> Vec<u32> {
-    let n = values.len();
-    let mut out = vec![0u32; n];
-    if n == 0 {
-        return out;
+/// Order-preserving `u64` key of a coordinate: `a < b` under
+/// `total_cmp` on canonical values iff `rank_key(a) < rank_key(b)`, and
+/// equal keys mean equal canonical values. `-0.0` maps to the key of
+/// `0.0`; `±∞` take the extreme keys of their sign.
+#[inline]
+fn rank_key(v: f64) -> u64 {
+    let bits = canon(v).to_bits();
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
     }
-    debug_assert!(
-        values.iter().all(|v| !v.is_nan()),
-        "NaN coordinates are unsupported by rank compression"
-    );
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order
-        .sort_unstable_by(|&a, &b| canon(values[a as usize]).total_cmp(&canon(values[b as usize])));
-    let mut rank = 0u32;
-    for pos in 0..n {
-        if pos > 0 {
-            let prev = canon(values[order[pos - 1] as usize]);
-            let cur = canon(values[order[pos] as usize]);
-            if prev.total_cmp(&cur) != std::cmp::Ordering::Equal {
-                rank += 1;
-            }
+}
+
+/// The sort buffer of the rank kernel: one `(key, point)` entry per
+/// value of a column, `16·n` bytes. Push a column's values in point
+/// order; [`try_rank_columns`] sorts the entries by key and writes the
+/// dense ranks.
+#[derive(Debug)]
+pub struct RankKeys {
+    entries: Vec<(u64, u32)>,
+}
+
+impl RankKeys {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(n),
         }
-        out[order[pos] as usize] = rank;
     }
+
+    /// Appends the next point's coordinate. `NaN` has no rank order and
+    /// is unsupported (callers reject it at their input boundary).
+    #[inline]
+    pub fn push(&mut self, v: f64) {
+        debug_assert!(
+            !v.is_nan(),
+            "NaN coordinates are unsupported by rank compression"
+        );
+        let i = self.entries.len() as u32;
+        self.entries.push((rank_key(v), i));
+    }
+
+    /// Sorts the entries and writes point `i`'s dense rank to `out[i]`.
+    fn rank_into(&mut self, out: &mut [u32]) {
+        assert_eq!(self.entries.len(), out.len(), "rank column length mismatch");
+        self.entries.sort_unstable_by_key(|&(key, _)| key);
+        let mut rank = 0u32;
+        let mut prev = self.entries.first().map_or(0, |&(key, _)| key);
+        for &(key, i) in &self.entries {
+            if key != prev {
+                rank += 1;
+                prev = key;
+            }
+            out[i as usize] = rank;
+        }
+    }
+}
+
+/// The rank kernel behind every rank table in the workspace: dense
+/// per-dimension ranks of `dim` columns of `n` values, column-major
+/// (`ranks[k * n + i]`). `-0.0` and `0.0` share a rank, `±∞` order
+/// naturally, `NaN` is unsupported.
+///
+/// `fill(k, keys)` pushes column `k`'s `n` values in point order. It
+/// runs on the calling thread, column by column in order, so a caller
+/// that reads columns from a file keeps its I/O sequential and reports
+/// the first bad column first; its error aborts the build. The sorts of
+/// up to [`crate::parallel::max_threads`] columns run at once, under
+/// the same policy as the other parallel kernels (`MC_THREADS`,
+/// `MC_PAR_THRESHOLD` applied to `n`, [`crate::with_sequential`]).
+/// Working memory beyond the ranks is at most `min(dim, threads)`
+/// buffers of `16·n` bytes.
+///
+/// # Panics
+///
+/// Panics if `n > u32::MAX` (point indices are `u32`) or if `fill`
+/// pushes other than `n` values.
+pub fn try_rank_columns<E>(
+    n: usize,
+    dim: usize,
+    mut fill: impl FnMut(usize, &mut RankKeys) -> Result<(), E>,
+) -> Result<Vec<u32>, E> {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "{n} points exceed the u32 index space"
+    );
+    let mut ranks = vec![0u32; dim * n];
+    if n == 0 {
+        return Ok(ranks);
+    }
+    let width = dispatch_width(n, dim);
+    let mut buffers: Vec<RankKeys> = (0..width).map(|_| RankKeys::with_capacity(n)).collect();
+    for (batch, columns) in ranks.chunks_mut(width * n).enumerate() {
+        let mut jobs: Vec<(&mut RankKeys, &mut [u32])> =
+            buffers.iter_mut().zip(columns.chunks_mut(n)).collect();
+        for (j, (keys, _)) in jobs.iter_mut().enumerate() {
+            keys.entries.clear();
+            fill(batch * width + j, keys)?;
+            assert_eq!(
+                keys.entries.len(),
+                n,
+                "column {} holds the wrong count",
+                batch * width + j
+            );
+        }
+        parallel_items_mut(&mut jobs, n, |(keys, column)| keys.rank_into(column));
+    }
+    Ok(ranks)
+}
+
+/// Dense rank compression of a single coordinate column: the
+/// one-column case of the rank kernel ([`try_rank_columns`]), on the
+/// calling thread. `-0.0` and `0.0` share a rank, `±∞` sentinels order
+/// naturally, `NaN` is unsupported.
+pub fn compress_column_ranks(values: &[f64]) -> Vec<u32> {
+    let mut keys = RankKeys::with_capacity(values.len());
+    values.iter().for_each(|&v| keys.push(v));
+    let mut out = vec![0u32; values.len()];
+    keys.rank_into(&mut out);
     out
 }
 
@@ -502,43 +594,17 @@ fn compress_ranks(points: &PointSet) -> Vec<u32> {
     try_compress_ranks(points, &CancelToken::never()).expect("a never-token cannot cancel")
 }
 
-/// Cancellable rank compression: each dimension costs an `O(n log n)`
-/// sort, so the token is polled once per dimension rather than inside
-/// the comparator.
+/// Cancellable rank compression of a row-major point set through the
+/// rank kernel; the token is polled once per column.
 pub(crate) fn try_compress_ranks(
     points: &PointSet,
     token: &CancelToken,
 ) -> Result<Vec<u32>, Cancelled> {
-    let n = points.len();
-    let dim = points.dim();
-    let mut ranks = vec![0u32; dim * n];
-    if n == 0 {
-        return Ok(ranks);
-    }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    for k in 0..dim {
+    try_rank_columns(points.len(), points.dim(), |k, keys| {
         token.poll()?;
-        debug_assert!(
-            points.iter().all(|p| !p[k].is_nan()),
-            "NaN coordinates are unsupported by DominanceIndex"
-        );
-        order.sort_unstable_by(|&a, &b| {
-            canon(points.point(a as usize)[k]).total_cmp(&canon(points.point(b as usize)[k]))
-        });
-        let col = &mut ranks[k * n..(k + 1) * n];
-        let mut rank = 0u32;
-        for pos in 0..n {
-            if pos > 0 {
-                let prev = canon(points.point(order[pos - 1] as usize)[k]);
-                let cur = canon(points.point(order[pos] as usize)[k]);
-                if prev.total_cmp(&cur) != std::cmp::Ordering::Equal {
-                    rank += 1;
-                }
-            }
-            col[order[pos] as usize] = rank;
-        }
-    }
-    Ok(ranks)
+        points.iter().for_each(|p| keys.push(p[k]));
+        Ok(())
+    })
 }
 
 /// Duplicate-group assignment: canonical ids plus per-group member
@@ -814,6 +880,7 @@ fn dominators_naive(points: &PointSet, i: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1059,6 +1126,144 @@ mod tests {
         }
         let col = compress_column_ranks(&[5.0, -0.0, 0.0, -1.0]);
         assert_eq!(col, vec![2, 1, 1, 0]);
+    }
+
+    /// The comparator sort the rank kernel replaced, kept as its
+    /// reference: indices sorted by `total_cmp` on canonical values.
+    fn comparator_ranks(values: &[f64]) -> Vec<u32> {
+        let n = values.len();
+        let mut out = vec![0u32; n];
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by(|&a, &b| {
+            canon(values[a as usize]).total_cmp(&canon(values[b as usize]))
+        });
+        let mut rank = 0u32;
+        for pos in 0..n {
+            if pos > 0 {
+                let prev = canon(values[order[pos - 1] as usize]);
+                let cur = canon(values[order[pos] as usize]);
+                if prev.total_cmp(&cur) != std::cmp::Ordering::Equal {
+                    rank += 1;
+                }
+            }
+            out[order[pos] as usize] = rank;
+        }
+        out
+    }
+
+    /// Values whose order the kernel's keys must get right: both
+    /// zeros, both infinities, the finite extremes, subnormals, and
+    /// neighbours one ulp apart.
+    const EDGE_VALUES: [f64; 14] = [
+        f64::NEG_INFINITY,
+        f64::MIN,
+        f64::from_bits(0xBFF0_0000_0000_0001),
+        -1.0,
+        -f64::MIN_POSITIVE,
+        -5e-324,
+        -0.0,
+        0.0,
+        5e-324,
+        f64::MIN_POSITIVE / 2.0,
+        1.0,
+        f64::from_bits(0x3FF0_0000_0000_0001),
+        f64::MAX,
+        f64::INFINITY,
+    ];
+
+    /// Columns mixing arbitrary non-NaN bit patterns with repeated edge
+    /// values, so heavy duplicates and every sign and exponent class
+    /// occur.
+    fn edge_columns(max_n: usize) -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(
+            (0usize..3, 0usize..EDGE_VALUES.len(), 0u64..=u64::MAX),
+            0..max_n,
+        )
+        .prop_map(|cells| {
+            cells
+                .into_iter()
+                .map(|(kind, i, bits)| match f64::from_bits(bits) {
+                    raw if kind == 0 && !raw.is_nan() => raw,
+                    _ => EDGE_VALUES[i],
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The key-sorted kernel reproduces the comparator sort's ranks
+        /// bit for bit, for single columns and column sets.
+        #[test]
+        fn rank_kernel_matches_comparator_reference(
+            values in edge_columns(80),
+            dim in 1usize..4,
+        ) {
+            prop_assert_eq!(compress_column_ranks(&values), comparator_ranks(&values));
+            let n = values.len() / dim;
+            let ranks = try_rank_columns(n, dim, |k, keys| {
+                values[k * n..(k + 1) * n].iter().for_each(|&v| keys.push(v));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            for k in 0..dim {
+                let column = &values[k * n..(k + 1) * n];
+                prop_assert_eq!(&ranks[k * n..(k + 1) * n], &comparator_ranks(column)[..]);
+            }
+        }
+    }
+
+    /// Columns long enough to cross the parallel threshold rank the
+    /// same on worker threads as inline, whatever the column count (so
+    /// the batches split unevenly over the workers); `n ∈ {0, 1}` and
+    /// the first `fill` error pass through unchanged.
+    #[test]
+    fn rank_columns_parallel_sequential_and_degenerate() {
+        let mut rng = StdRng::seed_from_u64(0x4A11);
+        let n = crate::parallel::DEFAULT_PAR_THRESHOLD + 123;
+        let palette = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5, -2.0];
+        for dim in 1..=5 {
+            let columns: Vec<Vec<f64>> = (0..dim)
+                .map(|_| {
+                    (0..n)
+                        .map(|_| match rng.gen_range(0..4) {
+                            0 => palette[rng.gen_range(0..palette.len())],
+                            _ => rng.gen_range(-1e3..1e3),
+                        })
+                        .collect()
+                })
+                .collect();
+            let build = || {
+                try_rank_columns(n, dim, |k, keys| {
+                    columns[k].iter().for_each(|&v| keys.push(v));
+                    Ok::<(), ()>(())
+                })
+                .unwrap()
+            };
+            let parallel = build();
+            let sequential = crate::with_sequential(build);
+            assert_eq!(parallel, sequential, "dim {dim}");
+            for (k, column) in columns.iter().enumerate() {
+                assert_eq!(&parallel[k * n..(k + 1) * n], &comparator_ranks(column)[..]);
+            }
+        }
+        for values in [&[][..], &[-0.0][..]] {
+            assert_eq!(compress_column_ranks(values), comparator_ranks(values));
+        }
+        assert!(try_rank_columns(0, 3, |_, _| Err::<(), ()>(()))
+            .unwrap()
+            .is_empty());
+        let mut seen = Vec::new();
+        let failed = try_rank_columns(4, 3, |k, keys| {
+            seen.push(k);
+            if k == 1 {
+                return Err(k);
+            }
+            (0..4).for_each(|i| keys.push(i as f64));
+            Ok(())
+        });
+        assert_eq!((failed, seen), (Err(1), vec![0, 1]));
     }
 
     /// The matrix budget refuses exactly when `n·⌈n/64⌉·8` exceeds the

@@ -41,7 +41,7 @@ pub use fenwick::Fenwick;
 pub use index::{
     bitmask_of, check_matrix_budget, check_matrix_budget_against, compress_column_ranks,
     compress_column_ranks_with_values, count_dominating_pairs, iter_ones, matrix_budget_bytes,
-    matrix_bytes, DominanceIndex, RankTable,
+    matrix_bytes, try_rank_columns, DominanceIndex, RankKeys, RankTable,
 };
 pub use label::Label;
 pub use oracle::RankOracle;

@@ -130,8 +130,8 @@ where
     T: Send,
     F: Fn(Range<usize>) -> T + Sync,
 {
-    let threads = max_threads();
-    if n < parallel_threshold() || threads <= 1 || sequential_forced() {
+    let threads = dispatch_width(n, n);
+    if threads <= 1 {
         mc_obs::counter_add("parallel.sequential", 1);
         return vec![kernel(0..n)];
     }
@@ -191,8 +191,47 @@ where
     }
     assert_eq!(out.len() % stride, 0, "output length must be n * stride");
     let n = out.len() / stride;
-    let threads = max_threads();
-    if n < parallel_threshold() || threads <= 1 || sequential_forced() {
+    chunks_mut_sized(out, stride, n, kernel);
+}
+
+/// Runs `kernel` on every item of `items`, [`dispatch_width`]`(work,
+/// items.len())` items at once: for tasks that each cover `work` units
+/// (a column of `work` values, say), so the threshold gates the size of
+/// one task rather than the number of tasks.
+pub(crate) fn parallel_items_mut<U, F>(items: &mut [U], work: usize, kernel: F)
+where
+    U: Send,
+    F: Fn(&mut U) + Sync,
+{
+    chunks_mut_sized(items, 1, work, |_, chunk| {
+        chunk.iter_mut().for_each(&kernel)
+    });
+}
+
+/// The number of workers a dispatch of `items` tasks of `work` units
+/// each gets: 1 (inline on the calling thread) when `work` is below
+/// [`parallel_threshold`], only one thread is allowed, or the caller is
+/// inside [`with_sequential`]; otherwise [`max_threads`] capped at
+/// `items`. The threshold is tested first: [`max_threads`] asks the OS
+/// for the available parallelism (cgroup files on Linux), which costs
+/// more than a small kernel such as one served classify batch.
+pub(crate) fn dispatch_width(work: usize, items: usize) -> usize {
+    if work < parallel_threshold() || sequential_forced() {
+        return 1;
+    }
+    max_threads().min(items).max(1)
+}
+
+/// [`parallel_chunks_mut`] with the threshold applied to `work` rather
+/// than to the row count.
+fn chunks_mut_sized<U, F>(out: &mut [U], stride: usize, work: usize, kernel: F)
+where
+    U: Send,
+    F: Fn(Range<usize>, &mut [U]) + Sync,
+{
+    let n = out.len() / stride;
+    let threads = dispatch_width(work, n);
+    if threads <= 1 {
         mc_obs::counter_add("parallel.sequential", 1);
         kernel(0..n, out);
         return;

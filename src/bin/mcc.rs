@@ -669,9 +669,10 @@ fn columnar_err(e: monotone_classification::data::columnar::ColumnarError) -> Cl
 
 /// The `n = 10⁷` path: streams an `MCC1` file through the matrix-free
 /// rank-oracle pipeline. Residency is `O(d·n)` (the rank table, labels,
-/// weights, and one column buffer during the build) — no dominator
-/// matrix, no row-major coordinate set — so the only outputs are the
-/// optimal error and the solve's shape, not a classifier file.
+/// weights, and during the build at most `min(d, threads)` sort buffers
+/// of `16·n` bytes) — no dominator matrix, no row-major coordinate set
+/// — so the only outputs are the optimal error and the solve's shape,
+/// not a classifier file.
 fn cmd_passive_columnar(
     path: &str,
     values: &[(String, String)],

@@ -804,6 +804,77 @@ fn active_refuses_a_dominator_matrix_over_the_budget() {
 }
 
 #[test]
+fn columnar_passive_traces_the_rank_table_load() {
+    let dir = std::env::temp_dir().join(format!("mcc-columnar-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("scale.mcc");
+    let metrics = dir.join("metrics.jsonl");
+    let out = mcc()
+        .args(["generate", "scale"])
+        .arg(&data)
+        .args(["--n", "4000", "--dim", "3", "--seed", "5"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let run = |threads: &str| {
+        let out = mcc()
+            .args(["passive"])
+            .arg(&data)
+            .args(["--trace", "--metrics-out"])
+            .arg(&metrics)
+            .env("MC_THREADS", threads)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let error_line = |o: &std::process::Output| {
+        String::from_utf8_lossy(&o.stdout)
+            .lines()
+            .find(|l| l.starts_with("optimal weighted error"))
+            .map(str::to_owned)
+            .expect("error line")
+    };
+    let parallel = run("2");
+    // The load is a root span beside `passive`, not dark time.
+    let stderr = String::from_utf8_lossy(&parallel.stderr);
+    assert!(
+        stderr.lines().any(|l| l.starts_with("  rank_table ")),
+        "no root rank_table span in:\n{stderr}"
+    );
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    assert!(
+        text.lines()
+            .any(|l| l.contains("\"type\":\"span\"") && l.contains("\"path\":\"rank_table\"")),
+        "no rank_table span line:\n{text}"
+    );
+    assert_eq!(error_line(&run("1")), error_line(&parallel));
+}
+
+#[test]
+fn columnar_passive_rejects_a_wrapping_point_count() {
+    // d = 1 and n = 18·17⁻¹ mod 2⁶⁴: the header's implied length
+    // 16 + 17·n wraps to exactly the 34 bytes present.
+    let mut bytes = b"MCC1".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&17_361_641_481_138_401_522u64.to_le_bytes());
+    bytes.resize(34, 0);
+    let dir = std::env::temp_dir().join(format!("mcc-cli-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("wrapping.mcc");
+    std::fs::write(&path, &bytes).unwrap();
+    let out = mcc().args(["passive"]).arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(4));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("out of range"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "panic leaked: {stderr}");
+}
+
+#[test]
 fn retired_engine_env_vars_leave_the_default_route() {
     // MC_FLOW_NET, MC_MATCHING and MC_SHARDS are not read: the solve
     // takes the table pipeline with the bitset matching, says nothing
