@@ -9,9 +9,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mc_chains::ChainDecomposition;
-use mc_core::passive::{solve_passive_scale, NetworkStrategy, PassiveSolver};
+use mc_core::passive::{solve_passive_scale, ContendingPoints, NetworkStrategy, PassiveSolver};
 use mc_data::columnar::{write_scale_dataset, ColumnarDataset, ScaleConfig};
-use mc_geom::{kernel, PointSet};
+use mc_geom::kernel;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -96,7 +96,8 @@ fn kernel_section() -> String {
 /// n = 20 000 parity: the streaming solve must agree with the in-memory
 /// ladder pipeline exactly (same algorithm, different plumbing) and
 /// with the paper-literal dense dominator-matrix path to flow tolerance;
-/// the width must match a matrix-built chain decomposition bit for bit.
+/// the ladder's chain count must equal the width of the contending
+/// label-1 points from a matrix-built chain decomposition.
 fn parity_section() -> String {
     let n = 20_000;
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
@@ -115,37 +116,37 @@ fn parity_section() -> String {
         .with_network(NetworkStrategy::Dense)
         .solve(&ws);
 
-    // The matrix-built width: a chain decomposition over the label-1
-    // points from a full dominator matrix (the pre-oracle code path).
-    let one_rows: Vec<Vec<f64>> = (0..ws.len())
-        .filter(|&i| ws.label(i).is_one())
-        .map(|i| ws.points().point(i).to_vec())
-        .collect();
-    let ones_points = PointSet::from_rows(ws.dim(), &one_rows);
-    let width_matrix = ChainDecomposition::compute(&ones_points).width();
+    // The ladder covers the contending label-1 points only. Find them
+    // independently (Lemma 15 off the dominator matrix) and take their
+    // width from a matrix-built chain decomposition: the ladder's chain
+    // count must equal it exactly.
+    let con = ContendingPoints::compute(&ws);
+    let width_matrix = ChainDecomposition::compute(&ws.points().subset(&con.ones)).width();
 
     let ladder_identical = scale.weighted_error == ladder.weighted_error;
     let dense_delta = (scale.weighted_error - dense.weighted_error).abs();
-    let width_identical = scale.width == width_matrix;
+    let width_identical = scale.ladder_chains == width_matrix
+        && (scale.contending_zeros, scale.contending_ones) == (con.zeros.len(), con.ones.len());
     println!(
         "scale/parity: n = {n} | error {} (ladder identical: {ladder_identical}, \
-         dense delta {dense_delta:.2e}) | width {} vs matrix {width_matrix}",
-        scale.weighted_error, scale.width
+         dense delta {dense_delta:.2e}) | ladder chains {} vs matrix width of the \
+         contending ones {width_matrix}",
+        scale.weighted_error, scale.ladder_chains
     );
     assert!(ladder_identical, "streaming vs in-memory ladder disagree");
     assert!(dense_delta < 1e-9, "streaming vs dense matrix disagree");
-    assert!(width_identical, "oracle vs matrix width disagree");
+    assert!(width_identical, "ladder chains vs matrix width disagree");
     format!(
         r#"{{
     "n": {n},
     "weighted_error": {},
     "error_identical_to_ladder": {ladder_identical},
     "error_delta_vs_dense": {dense_delta:.3e},
-    "width": {},
+    "ladder_chains": {},
     "width_matrix": {width_matrix},
     "width_identical": {width_identical}
   }}"#,
-        scale.weighted_error, scale.width
+        scale.weighted_error, scale.ladder_chains
     )
 }
 
@@ -159,7 +160,13 @@ fn telemetry_section() -> String {
         .ok()
         .and_then(|s| s.trim().parse().ok())
         .unwrap_or(1_000_000);
-    let reps = 3;
+    // A 10⁶ solve takes ~0.1 s, so one run swings by ±15% on a shared
+    // host: interleave many plain and sampled runs, one sampler session
+    // per sampled run (started and stopped outside the timing), so
+    // drift hits both sides alike, and compare medians. At 15 pairs the
+    // median still moved by ±3% between bench runs; 41 pairs hold it
+    // to about ±1%.
+    let reps = 41;
     let config = ScaleConfig::new(n, 4, 0x5CA1E);
     let path = temp_path("telemetry");
     write_scale_dataset(&path, &config).expect("write telemetry dataset");
@@ -170,32 +177,40 @@ fn telemetry_section() -> String {
     drop(ds);
     std::fs::remove_file(&path).ok();
 
-    let plain = time_runs(reps, || solve_passive_scale(&table, &labels, &weights));
-
     let ts_path = {
         let mut p = std::env::temp_dir();
         p.push(format!("mc_bench_scale_{}_ts.jsonl", std::process::id()));
         p
     };
-    let prev_level = mc_obs::level();
-    mc_obs::set_level(mc_obs::Level::Info);
-    let mut sampler = mc_obs::telemetry::SamplerConfig::new(&ts_path);
-    sampler.interval = Duration::from_millis(100);
-    assert!(
-        mc_obs::telemetry::start(sampler).expect("start sampler"),
-        "a sampler was already running"
-    );
-    let sampled = time_runs(reps, || solve_passive_scale(&table, &labels, &weights));
-    mc_obs::telemetry::stop();
-    mc_obs::set_level(prev_level);
-    let samples = std::fs::read_to_string(&ts_path)
-        .map(|t| {
-            t.lines()
-                .filter(|l| l.contains(r#""type":"sample""#))
-                .count()
-        })
-        .unwrap_or(0);
+    let solve = || solve_passive_scale(&table, &labels, &weights);
+    let mut plain = Vec::with_capacity(reps);
+    let mut sampled = Vec::with_capacity(reps);
+    let mut samples = 0;
+    for _ in 0..reps {
+        plain.push(time_runs(1, solve));
+        let prev_level = mc_obs::level();
+        mc_obs::set_level(mc_obs::Level::Info);
+        let mut sampler = mc_obs::telemetry::SamplerConfig::new(&ts_path);
+        sampler.interval = Duration::from_millis(100);
+        assert!(
+            mc_obs::telemetry::start(sampler).expect("start sampler"),
+            "a sampler was already running"
+        );
+        sampled.push(time_runs(1, solve));
+        mc_obs::telemetry::stop();
+        mc_obs::set_level(prev_level);
+        samples += std::fs::read_to_string(&ts_path)
+            .map(|t| {
+                t.lines()
+                    .filter(|l| l.contains(r#""type":"sample""#))
+                    .count()
+            })
+            .unwrap_or(0);
+    }
     std::fs::remove_file(&ts_path).ok();
+    plain.sort_unstable();
+    sampled.sort_unstable();
+    let (plain, sampled) = (plain[reps / 2], sampled[reps / 2]);
 
     let overhead = sampled.as_secs_f64() / plain.as_secs_f64() - 1.0;
     println!(
@@ -252,11 +267,11 @@ fn size_entry(n: usize, shards: Option<usize>) -> String {
     let solve = solve_start.elapsed();
     println!(
         "scale/solve{}: n = {n} | ones {ones} | gen {generate:?}, load {load:?}, \
-         solve {solve:?} | err {}, contending {}, width {}, edges {}, rss {} MiB",
+         solve {solve:?} | err {}, contending {}, ladder chains {}, edges {}, rss {} MiB",
         shards.map(|k| format!("[shards={k}]")).unwrap_or_default(),
         sol.weighted_error,
         sol.contending_zeros + sol.contending_ones,
-        sol.width,
+        sol.ladder_chains,
         sol.network_edges,
         sol.report.peak_rss_bytes / (1 << 20)
     );
@@ -273,7 +288,7 @@ fn size_entry(n: usize, shards: Option<usize>) -> String {
       "n": {n},{shards_field}
       "ones": {ones},
       "contending": {},
-      "width": {},
+      "ladder_chains": {},
       "network_edges": {},
       "weighted_error": {},
       "generate_ms": {:.1},
@@ -282,7 +297,7 @@ fn size_entry(n: usize, shards: Option<usize>) -> String {
       "peak_rss_bytes": {}
     }}"#,
         sol.contending_zeros + sol.contending_ones,
-        sol.width,
+        sol.ladder_chains,
         sol.network_edges,
         sol.weighted_error,
         generate.as_secs_f64() * 1e3,
@@ -303,9 +318,8 @@ fn record_scale(_c: &mut Criterion) {
         .collect();
     assert!(!sizes.is_empty(), "MC_BENCH_SCALE_NS parsed to no sizes");
 
-    // The sharded rows re-solve with the banded shard engine (the
-    // n = 10⁷ row is the headline: the Lemma-6 instance there is
-    // ~120k label-1 points, far past the sequential engine's comfort).
+    // The sharded rows re-solve with the banded shard engine, which
+    // since the contending cut only ever sees the contending ones.
     let shard_sizes: Vec<usize> = std::env::var("MC_BENCH_SCALE_SHARD_NS")
         .unwrap_or_else(|_| "100000,1000000,10000000".into())
         .split(',')

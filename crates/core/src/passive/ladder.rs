@@ -6,10 +6,11 @@
 //! dimension. This module removes that wall at **every** dimension using
 //! the paper's own Lemma-6 machinery:
 //!
-//! 1. Cover the label-1 points with a minimum set of chains: the
-//!    `O(n log n)` patience sort of [`TwoDimDecomposition`] at `d ≤ 2`,
-//!    bitset Hopcroft–Karp at `d ≥ 3`. This yields `w` chains
-//!    `o_{c,0} ⪯ o_{c,1} ⪯ …`, `w` the dominance width of `P₁`.
+//! 1. Cover the label-1 points the ladder must reach with a minimum set
+//!    of chains `o_{c,0} ⪯ o_{c,1} ⪯ …`: at `d ≥ 3` the contending ones
+//!    only, by bitset Hopcroft–Karp; at `d ≤ 2` all of `P₁`, by the
+//!    `O(n log n)` patience sort of [`TwoDimDecomposition`]. `w`, the
+//!    number of chains, is their dominance width.
 //! 2. Per chain, build a rung ladder of auxiliary nodes: `a_i → o_{c,i}`
 //!    and `a_i → a_{i-1}`, all [`Capacity::Infinite`], so `a_i` reaches
 //!    exactly the chain prefix `o_{c,0..=i}`.
@@ -34,11 +35,23 @@
 //! `2·|P₁^con|` rung edges plus one connector per (zero, head)
 //! dominance pair, versus up to `|P₀^con|·|P₁^con|` dense edges.
 //!
+//! **Lemma 15 before Lemma 6 (`d ≥ 3`).** Only contending points reach
+//! the cut, so [`contend_then_cover`] finds them before any matching
+//! runs: the minimal label-1 points `M₁` ([`try_minimal_by_rank`]),
+//! the zeros that dominate one of them, and the ones that one of those
+//! zeros dominates ([`filter_dominating`], a prefix-restricted
+//! word-parallel sweep). The cover then runs over the contending ones
+//! alone — at `n = 10⁷`, seed 7, 38 750 of 120 394 label-1 points.
+//!
 //! At `d ≤ 2` the `O(n log n)`-edge divide-and-conquer gadget of
 //! [`super::sparse`] competes. [`count_head_hits`] counts the ladder's
 //! connectors exactly with a [`Fenwick`] sweep before anything is
 //! built, and [`Gadget::ByEdgeCount`] builds the ladder iff that count
 //! is at most `|P₀|·⌈log₂ n⌉`, the other gadget's connector bound.
+//! There the head sweep that places the zero→rung edges doubles as
+//! Lemma-15 discovery: a 0-point contends iff its head row is
+//! non-empty, and the contending 1-points of chain `c` are exactly its
+//! prefix up to the deepest rung any 0-point reaches.
 //!
 //! The head sweep treats the `w` chain heads as an anchor set, exactly
 //! as [`crate::AnchorIndex`] treats a classifier's anchors: the heads'
@@ -49,28 +62,27 @@
 //! zeros that dominate no head; survivors narrow an all-ones `w`-bit
 //! row with [`mc_geom::kernel::narrow_ge_into`], one `and_ge_mask` pass
 //! per dimension, most selective first, stopping when the row empties.
-//! An empty row is exactly a Lemma-15 non-contender; the set bits, in
-//! ascending chain order, are the only chains that get a binary search.
+//! The set bits, in ascending chain order, are the only chains that get
+//! a binary search.
 //!
 //! [`discover_and_build_cancellable`] is the route of every non-dense
 //! solve, and it is **matrix-free**: only the `O(d·n log n)`
 //! [`RankTable`] over all points, plus, at `d ≥ 3`, a [`RankOracle`]
-//! gathered from its label-1 rows, whose Lemma-6 split-graph rows are
-//! computed on demand (`O(d·|P₁|)` resident — no quadratic structure at
-//! any subset size; the rows are cached once when they fit the
-//! `mc_chains::row_cache` budget). The same head sweep that places the
-//! zero→rung edges doubles as Lemma-15 contending discovery: a 0-point
-//! contends iff its head row is non-empty, and the contending 1-points
-//! of chain `c` are exactly its prefix up to the deepest rung any
-//! 0-point reaches. The sweep fans out over `parallel_chunks`, which is
-//! what carries the `n = 10⁷` scale solves of [`super::scale`].
+//! gathered from the contending ones' rows, whose Lemma-6 split-graph
+//! rows are computed on demand (`O(d·|P₁^con|)` resident; the rows are
+//! cached once when they fit the `mc_chains::row_cache` budget). Every
+//! zero sweep fans out over `parallel_chunks`, which is what carries
+//! the `n = 10⁷` scale solves of [`super::scale`].
 
 use crate::passive::contending::ContendingPoints;
 use crate::passive::sparse::{build_sparse_network, contending_sweep, plane, ClassifierNetwork};
 use mc_chains::{ChainDecomposition, TwoDimDecomposition};
 use mc_flow::{Capacity, FlowNetwork, NodeId};
 use mc_geom::kernel::narrow_ge_into;
-use mc_geom::{iter_ones, parallel_chunks, Fenwick, Label, RankOracle, RankTable, WeightedSet};
+use mc_geom::{
+    iter_ones, parallel_chunks, try_minimal_by_rank, Fenwick, Label, RankOracle, RankTable,
+    WeightedSet,
+};
 use mc_obs::{CancelToken, Cancelled, Checkpoint};
 
 /// Which type-3 gadget the table pipeline builds at `d ≤ 2`; at `d ≥ 3`
@@ -126,13 +138,14 @@ pub(crate) fn discover_and_build_cancellable(
 
 /// Everything the matrix-free discovery learns in one pass: the
 /// Lemma-15 contending sets, the network over them (when any
-/// contention exists), and the dominance width of the label-1 points
-/// (the scale benches record it, and the parity harness checks it
-/// against the matrix path bit for bit).
+/// contention exists), and the number of chains its cover found.
 pub(crate) struct LadderOutcome {
     pub con: ContendingPoints,
     pub network: Option<ClassifierNetwork>,
-    pub width: usize,
+    /// Chains in the pipeline's minimum chain cover: of every label-1
+    /// point at `d ≤ 2`, of the contending ones only at `d ≥ 3`; 0 when
+    /// the cover never ran.
+    pub ladder_chains: usize,
 }
 
 /// The matrix-free pipeline off prebuilt rank columns. This is the only
@@ -141,19 +154,16 @@ pub(crate) struct LadderOutcome {
 /// [`WeightedSet`] entry points delegate here.
 ///
 /// No `Θ(n²/64)` structure over all points exists anywhere in this
-/// path. The minimum chain cover of the label-1 points is the
-/// `O(n log n)` patience sort of [`TwoDimDecomposition`] at `d ≤ 2`;
-/// at `d ≥ 3` the Lemma-6 matching runs over a [`RankOracle`] gathered
-/// from the table's label-1 rows (`O(d·|P₁|)` resident; its rows are
-/// cached only when the `|P₁|²/64`-word split graph fits the row-cache
-/// budget, and are bit-identical to the dominator matrix's either way).
-/// Both covers are minimum, so the width is the same.
+/// path. At `d ≤ 2` the minimum chain cover of the label-1 points is
+/// the `O(n log n)` patience sort of [`TwoDimDecomposition`], and
+/// [`Gadget`] picks the type-3 gadget; both have the dense network's
+/// min cut. At `d ≥ 3` [`contend_then_cover`] finds the contending
+/// points first and runs the Lemma-6 matching over the contending ones
+/// only.
 ///
-/// At `d ≤ 2`, [`Gadget`] picks the type-3 gadget; both have the dense
-/// network's min cut. The ladder's zero sweep is the word-parallel
-/// [`HeadSweep`], fanned out over `parallel_chunks`; chunk results
+/// Every zero sweep fans out over `parallel_chunks`; chunk results
 /// concatenate in index order, so the contending sets, the network,
-/// and hence the min cut are identical to the sequential pipeline.
+/// and hence the min cut are identical to a sequential pipeline.
 pub(crate) fn discover_and_build_from_table_cancellable(
     table: &RankTable,
     labels: &[Label],
@@ -165,6 +175,10 @@ pub(crate) fn discover_and_build_from_table_cancellable(
     token.poll()?; // small inputs may never reach a checkpoint
     debug_assert_eq!(table.len(), labels.len());
     debug_assert_eq!(labels.len(), weights.len());
+    let cols: Vec<&[u32]> = (0..table.dim()).map(|k| table.column(k)).collect();
+    if table.dim() >= 3 {
+        return contend_then_cover(table, &cols, labels, weights, token);
+    }
     let mut zeros = Vec::new();
     let mut ones = Vec::new();
     for (i, &label) in labels.iter().enumerate() {
@@ -173,39 +187,23 @@ pub(crate) fn discover_and_build_from_table_cancellable(
             Label::One => ones.push(i),
         }
     }
-    let empty = ContendingPoints {
-        zeros: Vec::new(),
-        ones: Vec::new(),
-    };
     if zeros.is_empty() || ones.is_empty() {
-        // Width 0 here means "the decomposition never ran" — with no
-        // contention possible, nothing downstream reads it.
-        return Ok(LadderOutcome {
-            con: empty,
-            network: None,
-            width: 0,
-        });
+        return Ok(LadderOutcome::empty(0));
     }
 
     // Minimum chain cover of the label-1 points. Gathering rank columns
-    // preserves per-dimension order (and equality), so either cover is
+    // preserves per-dimension order (and equality), so the cover is
     // exact; chain entries are positions into `ones`.
-    let chains = if table.dim() <= 2 {
+    let chains = {
         let _span = mc_obs::span("path_cover");
         let (x, y) = plane(table);
         let gather = |col: &[u32]| ones.iter().map(|&q| col[q]).collect::<Vec<u32>>();
         TwoDimDecomposition::from_rank_columns(&gather(x), &gather(y)).into_chains()
-    } else {
-        let oracle = {
-            let _span = mc_obs::span("oracle_build");
-            RankOracle::try_from_table_subset(table, &ones, token)?
-        };
-        ChainDecomposition::compute_from_oracle_cancellable(&oracle, token)?.into_chains()
     };
-    let width = chains.len();
+    let ladder_chains = chains.len();
     token.poll()?;
 
-    if table.dim() <= 2 && gadget != Gadget::Ladder {
+    if gadget != Gadget::Ladder {
         let (x, y) = plane(table);
         let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
         let head_hits = count_head_hits(x, y, &heads, &zeros);
@@ -222,7 +220,7 @@ pub(crate) fn discover_and_build_from_table_cancellable(
             return Ok(LadderOutcome {
                 con,
                 network,
-                width,
+                ladder_chains,
             });
         }
     }
@@ -231,53 +229,177 @@ pub(crate) fn discover_and_build_from_table_cancellable(
     // chain places its rung edge *and* answers Lemma 15 — `p` contends
     // iff any prefix is non-empty, and chain `c`'s contending 1-points
     // are its prefix up to the deepest rung any 0-point reaches.
-    let cols: Vec<&[u32]> = (0..table.dim()).map(|k| table.column(k)).collect();
-    let sweep = HeadSweep::new(&cols, &chains, &ones).sweep(&zeros, token)?;
+    let sweep = {
+        let _span = mc_obs::span("ladder_sweep");
+        HeadSweep::new(&cols, &chains, &ones).sweep(&zeros, "ladder_sweep", token)?
+    };
     let con_zeros: Vec<usize> = sweep.hits.iter().map(|&(zi, _)| zeros[zi]).collect();
-    let max_cnt = sweep.max_cnt;
+    if con_zeros.is_empty() {
+        return Ok(LadderOutcome::empty(ladder_chains));
+    }
     let mut con_ones: Vec<usize> = chains
         .iter()
-        .zip(&max_cnt)
+        .zip(&sweep.max_cnt)
         .flat_map(|(chain, &cnt)| chain[..cnt].iter().map(|&local| ones[local]))
         .collect();
     con_ones.sort_unstable();
-    if con_zeros.is_empty() {
-        return Ok(LadderOutcome {
-            con: empty,
+    let _wire = mc_obs::span("ladder_wire");
+    let con = ContendingPoints {
+        zeros: con_zeros,
+        ones: con_ones,
+    };
+    let network = wire_ladder(weights, &con, &chains, &ones, &sweep, token)?;
+    Ok(LadderOutcome {
+        con,
+        network: Some(network),
+        ladder_chains,
+    })
+}
+
+impl LadderOutcome {
+    fn empty(ladder_chains: usize) -> Self {
+        Self {
+            con: ContendingPoints {
+                zeros: Vec::new(),
+                ones: Vec::new(),
+            },
             network: None,
-            width,
-        });
+            ladder_chains,
+        }
     }
+}
+
+/// The `d ≥ 3` pipeline: Lemma 15 before Lemma 6.
+///
+/// 1. `minimal_ones`: the minimal label-1 points `M₁`
+///    ([`try_minimal_by_rank`]).
+/// 2. `ladder_sweep`: the contending zeros, i.e. the zeros that dominate
+///    some member of `M₁` (a zero that dominates any one dominates the
+///    minimal one below it).
+/// 3. `contending_ones`: the ones that some contending zero dominates —
+///    the same test on mirrored ranks (`u32::MAX − rank`).
+/// 4. `path_cover`: the Lemma-6 chain cover of the contending ones
+///    alone, over a [`RankOracle`] gathered from their rows (honouring
+///    the thread's matching-engine override).
+/// 5. `ladder_wire`: the [`HeadSweep`] of the contending zeros against
+///    those chains, then the rung ladder. Every chain element is a
+///    contending one, so some contending zero reaches every chain in
+///    full.
+fn contend_then_cover(
+    table: &RankTable,
+    cols: &[&[u32]],
+    labels: &[Label],
+    weights: &[f64],
+    token: &CancelToken,
+) -> Result<LadderOutcome, Cancelled> {
+    let (ones, minimal) = {
+        let _span = mc_obs::span("minimal_ones");
+        let ones: Vec<usize> = (0..labels.len()).filter(|&i| labels[i].is_one()).collect();
+        let mut cp = Checkpoint::with_progress(token, "minimal_ones", ones.len() as u64);
+        let minimal = try_minimal_by_rank(cols, &ones, &mut cp)?;
+        (ones, minimal)
+    };
+    mc_obs::counter_add("passive.minimal_ones", minimal.len() as u64);
+    // The zero list lives only inside the sweep: at n = 10⁷ it is 80 MB,
+    // and the cached split-graph rows below need the room.
+    let con_zeros = {
+        let _span = mc_obs::span("ladder_sweep");
+        let zeros: Vec<usize> = (0..labels.len()).filter(|&i| labels[i].is_zero()).collect();
+        let anchor_rank = |k: usize, j: usize| cols[k][minimal[j]];
+        let zero_rank = |k: usize, p: usize| cols[k][p];
+        filter_dominating(
+            cols.len(),
+            minimal.len(),
+            anchor_rank,
+            &zeros,
+            zero_rank,
+            "ladder_sweep",
+            token,
+        )?
+    };
+    if con_zeros.is_empty() {
+        return Ok(LadderOutcome::empty(0));
+    }
+    let con_ones = {
+        let _span = mc_obs::span("contending_ones");
+        let anchor_rank = |k: usize, j: usize| u32::MAX - cols[k][con_zeros[j]];
+        let one_rank = |k: usize, q: usize| u32::MAX - cols[k][q];
+        filter_dominating(
+            cols.len(),
+            con_zeros.len(),
+            anchor_rank,
+            &ones,
+            one_rank,
+            "contending_ones",
+            token,
+        )?
+    };
+    let oracle = {
+        let _span = mc_obs::span("oracle_build");
+        RankOracle::try_from_table_subset(table, &con_ones, token)?
+    };
+    let chains = ChainDecomposition::compute_from_oracle_cancellable(&oracle, token)?.into_chains();
+    token.poll()?;
 
     let _wire = mc_obs::span("ladder_wire");
+    let sweep =
+        HeadSweep::new(cols, &chains, &con_ones).sweep(&con_zeros, "ladder_heads", token)?;
+    debug_assert_eq!(sweep.hits.len(), con_zeros.len());
+    debug_assert!(chains
+        .iter()
+        .zip(&sweep.max_cnt)
+        .all(|(chain, &cnt)| cnt == chain.len()));
+    let con = ContendingPoints {
+        zeros: con_zeros,
+        ones: con_ones,
+    };
+    let network = wire_ladder(weights, &con, &chains, &con.ones, &sweep, token)?;
+    Ok(LadderOutcome {
+        con,
+        network: Some(network),
+        ladder_chains: chains.len(),
+    })
+}
+
+/// Builds the chain-ladder network over the contending points `con`:
+/// finite source and sink edges, one rung ladder per chain truncated to
+/// the deepest prefix any zero reaches (`sweep.max_cnt`), and one
+/// connector per sweep hit. Chain entries are positions into `ones`;
+/// `sweep.hits` names exactly the zeros of `con.zeros`, in order.
+fn wire_ladder(
+    weights: &[f64],
+    con: &ContendingPoints,
+    chains: &[Vec<usize>],
+    ones: &[usize],
+    sweep: &SweepHits,
+    token: &CancelToken,
+) -> Result<ClassifierNetwork, Cancelled> {
     let source = 0;
     let sink = 1;
-    let mut net = FlowNetwork::new(2 + con_zeros.len() + con_ones.len(), source, sink);
-    let zero_nodes: Vec<NodeId> = (0..con_zeros.len()).map(|i| 2 + i).collect();
-    let one_nodes: Vec<NodeId> = (0..con_ones.len())
-        .map(|i| 2 + con_zeros.len() + i)
+    let mut net = FlowNetwork::new(2 + con.len(), source, sink);
+    let zero_nodes: Vec<NodeId> = (0..con.zeros.len()).map(|i| 2 + i).collect();
+    let one_nodes: Vec<NodeId> = (0..con.ones.len())
+        .map(|i| 2 + con.zeros.len() + i)
         .collect();
-    for (zi, &p) in con_zeros.iter().enumerate() {
+    for (zi, &p) in con.zeros.iter().enumerate() {
         net.add_edge(source, zero_nodes[zi], weights[p]);
     }
-    let mut one_pos = vec![u32::MAX; labels.len()];
-    for (oi, &q) in con_ones.iter().enumerate() {
+    for (oi, &q) in con.ones.iter().enumerate() {
         net.add_edge(one_nodes[oi], sink, weights[q]);
-        one_pos[q] = oi as u32;
     }
 
     // Rung ladders, truncated to the reached prefix of each chain.
-    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(width);
+    let mut rungs: Vec<Vec<NodeId>> = Vec::with_capacity(chains.len());
     let mut rung_edges = 0u64;
-    for (chain, &cnt) in chains.iter().zip(&max_cnt) {
+    for (chain, &cnt) in chains.iter().zip(&sweep.max_cnt) {
         let mut ladder: Vec<NodeId> = Vec::with_capacity(cnt);
         for (i, &local) in chain[..cnt].iter().enumerate() {
             let a = net.add_node();
-            net.add_edge(
-                a,
-                one_nodes[one_pos[ones[local]] as usize],
-                Capacity::Infinite,
-            );
+            let oi = con
+                .ones
+                .binary_search(&ones[local])
+                .expect("a reached chain element contends");
+            net.add_edge(a, one_nodes[oi], Capacity::Infinite);
             if i > 0 {
                 net.add_edge(a, ladder[i - 1], Capacity::Infinite);
             }
@@ -299,23 +421,103 @@ pub(crate) fn discover_and_build_from_table_cancellable(
         }
     }
 
-    mc_obs::counter_add("passive.ladder_chains", width as u64);
+    mc_obs::counter_add("passive.ladder_chains", chains.len() as u64);
     mc_obs::counter_add("passive.ladder_rungs", rung_edges);
     mc_obs::counter_add("passive.ladder_head_hits", total_hits);
-    let con = ContendingPoints {
-        zeros: con_zeros,
-        ones: con_ones,
-    };
-    let network = ClassifierNetwork {
+    Ok(ClassifierNetwork {
         net,
         zero_nodes,
         one_nodes,
-    };
-    Ok(LadderOutcome {
-        con,
-        network: Some(network),
-        width,
     })
+}
+
+/// The items that dominate at least one of `m` anchors, ascending if
+/// `items` is. `anchor_rank(k, j)` is anchor `j`'s rank in dimension
+/// `k`, `item_rank(k, p)` item `p`'s; dominance is the reflexive `≥`
+/// on all `dim` ranks. Fans out over `parallel_chunks` and ticks the
+/// progress phase `phase` once per item.
+///
+/// The anchors are sorted by their rank in one key dimension `k*`
+/// (dimension 0; on the `scale` workloads every choice measured the
+/// same), so an item need only narrow the *prefix* of anchors at or
+/// below its own `k*` rank, and `k*` needs no narrowing pass. Before
+/// that, two `O(d)` floor tests retire items that dominate no
+/// anchor: the minimum anchor rank per dimension, and the minimum
+/// anchor rank sum.
+pub(crate) fn filter_dominating(
+    dim: usize,
+    m: usize,
+    anchor_rank: impl Fn(usize, usize) -> u32,
+    items: &[usize],
+    item_rank: impl Fn(usize, usize) -> u32 + Sync,
+    phase: &'static str,
+    token: &CancelToken,
+) -> Result<Vec<usize>, Cancelled> {
+    debug_assert!(dim > 0, "dominance over no dimension is not a sweep");
+    let key_dim = 0;
+    let mut order: Vec<usize> = (0..m).collect();
+    order.sort_unstable_by_key(|&j| anchor_rank(key_dim, j));
+    let key: Vec<u32> = order.iter().map(|&j| anchor_rank(key_dim, j)).collect();
+    // Per dimension the minimum and maximum anchor rank, and the
+    // minimum anchor rank sum: an item dominates an anchor only if it
+    // reaches the anchor on every rank and on the sum.
+    let mut floor = vec![u32::MAX; dim];
+    let mut top = vec![0u32; dim];
+    let mut sum_floor = u64::MAX;
+    for j in 0..m {
+        let mut sum = 0u64;
+        for k in 0..dim {
+            let r = anchor_rank(k, j);
+            floor[k] = floor[k].min(r);
+            top[k] = top[k].max(r);
+            sum += u64::from(r);
+        }
+        sum_floor = sum_floor.min(sum);
+    }
+    // `rev[k][j] = top[k] − rank` in key order, so "anchor rank ≤ rank
+    // of p" reads `rev ≥ top − rank(p)`; the key column is never read.
+    let rev: Vec<Vec<u32>> = (0..dim)
+        .map(|k| {
+            if k == key_dim {
+                Vec::new()
+            } else {
+                order.iter().map(|&j| top[k] - anchor_rank(k, j)).collect()
+            }
+        })
+        .collect();
+    let chunks = parallel_chunks(items.len(), |range| {
+        let mut out = Vec::new();
+        let mut scratch = SweepScratch::default();
+        // One global total per worker keeps `progress.<phase>.frac` exact.
+        let mut cp = Checkpoint::with_progress(token, phase, items.len() as u64);
+        'items: for &p in &items[range] {
+            if cp.tick(1).is_err() {
+                break; // partial chunk; the caller polls and bails
+            }
+            scratch.thresholds.clear();
+            let mut sum = 0u64;
+            for k in 0..dim {
+                let r = item_rank(k, p);
+                if r < floor[k] {
+                    continue 'items;
+                }
+                sum += u64::from(r);
+                if k != key_dim && r < top[k] {
+                    scratch.thresholds.push((top[k] - r, k));
+                }
+            }
+            if sum < sum_floor {
+                continue;
+            }
+            let len = key.partition_point(|&r| r <= item_rank(key_dim, p));
+            if narrow_ge_into(len, &rev, &mut scratch.thresholds, &mut scratch.row) {
+                out.push(p);
+            }
+        }
+        out
+    });
+    token.poll()?;
+    Ok(chunks.concat())
 }
 
 /// The number of `(zero, head)` pairs with `zero ⪰ head` over the rank
@@ -456,15 +658,15 @@ impl<'a> HeadSweep<'a> {
         }
     }
 
-    /// Sweeps every zero, fanned out over `parallel_chunks`; chunk
-    /// results concatenate in index order, so the output is identical
-    /// to a sequential sweep.
+    /// Sweeps every zero, fanned out over `parallel_chunks`, ticking the
+    /// progress phase `phase` once per zero; chunk results concatenate
+    /// in index order, so the output is identical to a sequential sweep.
     pub(crate) fn sweep(
         &self,
         zeros: &[usize],
+        phase: &'static str,
         token: &CancelToken,
     ) -> Result<SweepHits, Cancelled> {
-        let _span = mc_obs::span("ladder_sweep");
         let width = self.chains.len();
         let chunks = parallel_chunks(zeros.len(), |range| {
             let mut out = SweepHits {
@@ -474,7 +676,7 @@ impl<'a> HeadSweep<'a> {
             let mut scratch = SweepScratch::default();
             // Every worker passes the same global total (one unit per
             // zero), so `progress.ladder_sweep.frac` is exact.
-            let mut cp = Checkpoint::with_progress(token, "ladder_sweep", zeros.len() as u64);
+            let mut cp = Checkpoint::with_progress(token, phase, zeros.len() as u64);
             for zi in range {
                 if cp.tick(1).is_err() {
                     break; // partial chunk; the caller polls and bails
@@ -712,7 +914,7 @@ mod tests {
             let cols: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
             let want = per_head_scan(&cols, &chains, &ones, &zeros);
             let got = HeadSweep::new(&cols, &chains, &ones)
-                .sweep(&zeros, &CancelToken::never())
+                .sweep(&zeros, "ladder_sweep", &CancelToken::never())
                 .unwrap();
             let mut want_max = vec![0usize; w];
             for (_, hits) in &want {
@@ -850,6 +1052,109 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn high_dim_pipeline_matches_dense_error_and_assignment(
+            dim in 3usize..=5,
+            n in 0usize..70,
+            gi in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Grid 0 puts every point at ±0.0 (all ranks equal, so every
+            // zero contends with every one); small grids make duplicates
+            // within and across labels common.
+            let grid = [0u32, 1, 2, 4, 30][gi];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ws = signed_grid(n, dim, grid, &mut rng);
+            let index = DominanceIndex::build(ws.points());
+            let reference = ContendingPoints::compute_indexed(&ws, &index);
+            let dense =
+                (!reference.is_empty()).then(|| build_dense_network(&ws, &reference, &index));
+            let want = cut_readout(&ws, &reference, dense.as_ref());
+            let (con, network) = discover_and_build(&ws, Gadget::ByEdgeCount);
+            proptest::prop_assert_eq!(&con, &reference);
+            proptest::prop_assert_eq!(network.is_some(), dense.is_some());
+            let got = cut_readout(&ws, &con, network.as_ref());
+            proptest::prop_assert!(
+                (got.0 - want.0).abs() < 1e-9,
+                "error {} vs dense {}",
+                got.0,
+                want.0
+            );
+            proptest::prop_assert_eq!(got.1, want.1);
+        }
+
+        #[test]
+        fn prefix_restricted_sweep_matches_per_member_scan(
+            dim in 1usize..=5,
+            m in 0usize..150,
+            gi in 0usize..4,
+            mirrored in proptest::bool::ANY,
+            seed in 0u64..u64::MAX,
+        ) {
+            let grid = [1u32, 2, 5, 1000][gi];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = m + 200;
+            let cols: Vec<Vec<u32>> = (0..dim)
+                .map(|_| (0..n).map(|_| rng.gen_range(0..=grid)).collect())
+                .collect();
+            let (anchors, items): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| i < m);
+            // Mirrored ranks ask the contending-ones question: which
+            // items does some anchor dominate.
+            let rank = |k: usize, i: usize| {
+                if mirrored {
+                    u32::MAX - cols[k][i]
+                } else {
+                    cols[k][i]
+                }
+            };
+            let want: Vec<usize> = items
+                .iter()
+                .copied()
+                .filter(|&p| anchors.iter().any(|&a| (0..dim).all(|k| rank(k, p) >= rank(k, a))))
+                .collect();
+            let got = filter_dominating(
+                dim,
+                m,
+                |k, j| rank(k, anchors[j]),
+                &items,
+                rank,
+                "test_sweep",
+                &CancelToken::never(),
+            )
+            .unwrap();
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn ladder_covers_only_the_contending_ones() {
+        // d = 3: an antichain of 5 ones, of which only the first is
+        // dominated by a zero. The cover runs over that one alone.
+        let mut ws = WeightedSet::empty(3);
+        for i in 0..5 {
+            let c = f64::from(i);
+            ws.push(&[c, 4.0 - c, 2.0], Label::One, 1.0);
+        }
+        ws.push(&[0.0, 4.0, 3.0], Label::Zero, 1.0);
+        let table = RankTable::build(ws.points());
+        let out = discover_and_build_from_table_cancellable(
+            &table,
+            ws.labels(),
+            ws.weights(),
+            Gadget::ByEdgeCount,
+            &CancelToken::never(),
+        )
+        .unwrap();
+        assert_eq!(
+            (out.con.zeros.as_slice(), out.con.ones.as_slice()),
+            (&[5][..], &[0][..])
+        );
+        assert_eq!(out.ladder_chains, 1);
+    }
+
     #[test]
     fn edge_count_picks_the_smaller_gadget() {
         let edges = |ws: &WeightedSet, gadget| {
@@ -900,7 +1205,7 @@ mod tests {
                 let heads: Vec<usize> = chains.iter().map(|chain| ones[chain[0]]).collect();
                 let cols: Vec<&[u32]> = (0..dim).map(|k| table.column(k)).collect();
                 let sweep = HeadSweep::new(&cols, &chains, &ones)
-                    .sweep(&zeros, &CancelToken::never())
+                    .sweep(&zeros, "ladder_sweep", &CancelToken::never())
                     .unwrap();
                 let total: u64 = sweep.hits.iter().map(|(_, h)| h.len() as u64).sum();
                 assert_eq!(

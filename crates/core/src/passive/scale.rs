@@ -17,8 +17,12 @@
 //! of [`PassiveSolver`](super::PassiveSolver) — same ladder discovery,
 //! same [`Dinic`] min cut, identical weighted error and flip decisions — it
 //! just stops after reading the cut, returning counts and the error
-//! instead of materializing a classifier. The answer structures are
-//! `O(con + w·n)`; no `Θ(n²)` object exists at any stage.
+//! instead of materializing a classifier. At `d ≥ 3` that pipeline
+//! finds the Lemma-15 contending points first and runs the Lemma-6
+//! chain cover over the contending label-1 points only, so
+//! [`ScaleSolution::ladder_chains`] is their width, not that of all of
+//! `P₁`. The answer structures are `O(con + w·n)`; no `Θ(n²)` object
+//! exists at any stage.
 
 use crate::error::McError;
 use crate::passive::ladder;
@@ -43,9 +47,11 @@ pub struct ScaleSolution {
     pub flips_to_one: usize,
     /// Label-1 points the optimal classifier relabels to 0.
     pub flips_to_zero: usize,
-    /// Dominance width of the label-1 points (Lemma-6 chain count); 0
-    /// when either label class is empty and the decomposition never ran.
-    pub width: usize,
+    /// Chains in the ladder: the Lemma-6 cover of the contending
+    /// label-1 points at `d ≥ 3`, of every label-1 point at `d ≤ 2`; 0
+    /// when the cover never ran (no contention is possible, or at
+    /// `d ≥ 3` none exists).
+    pub ladder_chains: usize,
     /// Nodes in the flow network (0 when nothing contends).
     pub network_nodes: usize,
     /// Edges in the flow network (0 when nothing contends).
@@ -73,9 +79,10 @@ pub fn solve_passive_scale(table: &RankTable, labels: &[Label], weights: &[f64])
 /// Cancellable streaming passive solve: Theorem 4 on `(RankTable,
 /// labels, weights)` with `O(d·n + w·n)` residency end to end.
 ///
-/// The token reaches every super-linear stage — rank-column gathering,
-/// the Hopcroft–Karp matching behind the chain decomposition, the
-/// parallel zero sweep, and the max-flow phases. Errors are
+/// The token reaches every super-linear stage — the minimal-ones and
+/// contending sweeps, rank-column gathering, the Hopcroft–Karp
+/// matching behind the chain decomposition, the parallel zero sweeps,
+/// and the max-flow phases. Errors are
 /// [`McError::InvalidParameter`] on length mismatches and
 /// [`McError::Timeout`]/[`McError::Cancelled`] on cancellation.
 pub fn solve_passive_scale_cancellable(
@@ -111,7 +118,7 @@ pub fn solve_passive_scale_cancellable(
         contending_ones: out.con.ones.len(),
         flips_to_one: 0,
         flips_to_zero: 0,
-        width: out.width,
+        ladder_chains: out.ladder_chains,
         network_nodes: 0,
         network_edges: 0,
         report: SolveReport::default(),
@@ -217,16 +224,19 @@ mod tests {
         let table = RankTable::from_rank_columns(0, 2, vec![0u32; 0]);
         let s = solve_passive_scale(&table, &[], &[]);
         assert_eq!(s.weighted_error, 0.0);
-        assert_eq!((s.width, s.network_edges), (0, 0));
+        assert_eq!((s.ladder_chains, s.network_edges), (0, 0));
 
-        // One-sided labels: no contention, width 0 (decomposition skipped).
+        // One-sided labels: no contention, no chains (cover skipped).
         let mut ws = WeightedSet::empty(3);
         ws.push(&[0.0, 0.0, 0.0], Label::One, 1.0);
         ws.push(&[1.0, 1.0, 1.0], Label::One, 1.0);
         let table = RankTable::build(ws.points());
         let s = solve_passive_scale(&table, ws.labels(), ws.weights());
         assert_eq!(s.weighted_error, 0.0);
-        assert_eq!((s.contending_zeros, s.contending_ones, s.width), (0, 0, 0));
+        assert_eq!(
+            (s.contending_zeros, s.contending_ones, s.ladder_chains),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -240,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_solve_reports_width_and_rss() {
+    fn scale_solve_reports_ladder_chains_and_rss() {
         // A 2-antichain of ones, each inverted below a zero: width 2.
         let mut ws = WeightedSet::empty(2);
         ws.push(&[0.0, 3.0], Label::One, 2.0);
@@ -249,7 +259,7 @@ mod tests {
         ws.push(&[4.0, 1.0], Label::Zero, 1.0);
         let table = RankTable::build(ws.points());
         let s = solve_passive_scale(&table, ws.labels(), ws.weights());
-        assert_eq!(s.width, 2);
+        assert_eq!(s.ladder_chains, 2);
         assert_eq!(s.weighted_error, 2.0);
         assert_eq!((s.flips_to_one, s.flips_to_zero), (2, 0));
         if cfg!(target_os = "linux") {

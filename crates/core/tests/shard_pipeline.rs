@@ -82,7 +82,10 @@ fn sharded_scale_solve_is_bit_identical() {
             seq.weighted_error.to_bits(),
             "dim {dim}: scale error differs"
         );
-        assert_eq!(sh.width, seq.width, "dim {dim}: width differs");
+        assert_eq!(
+            sh.ladder_chains, seq.ladder_chains,
+            "dim {dim}: ladder chains differ"
+        );
         assert_eq!(sh.contending_zeros, seq.contending_zeros);
         assert_eq!(sh.contending_ones, seq.contending_ones);
     }

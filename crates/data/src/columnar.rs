@@ -831,4 +831,99 @@ mod tests {
         std::fs::remove_file(&path_a).ok();
         std::fs::remove_file(&path_b).ok();
     }
+
+    /// A valid 3-point, 3-dimension file for the byte fuzz to mutate.
+    fn valid_small_file() -> Vec<u8> {
+        let path = temp_path("fuzz_seed");
+        write_weighted_set(&path, &sample_set()).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// Writes `bytes` to `path` and runs every reader the solve path
+    /// uses: `open`, then `rank_table`, `read_labels` and `read_weights`
+    /// each on their own. Each must return `Ok` (with one entry per
+    /// declared point) or a typed error; a panic fails the test. Once
+    /// `open` has validated the length, no read may hit an I/O error.
+    fn read_all(path: &Path, bytes: &[u8]) -> Result<(), String> {
+        std::fs::write(path, bytes).unwrap();
+        let Ok(mut ds) = ColumnarDataset::open(path) else {
+            return Ok(());
+        };
+        let n = ds.len();
+        let io = |what: &str, e: &ColumnarError| {
+            if matches!(e, ColumnarError::Io(_)) {
+                Err(format!("{what}: I/O error after a validated open: {e}"))
+            } else {
+                Ok(())
+            }
+        };
+        match ds.rank_table() {
+            Ok(table) if table.len() != n => return Err("rank table length".into()),
+            Ok(_) => {}
+            Err(e) => io("rank_table", &e)?,
+        }
+        match ds.read_labels() {
+            Ok(labels) if labels.len() != n => return Err("label count".into()),
+            Ok(_) => {}
+            Err(e) => io("read_labels", &e)?,
+        }
+        match ds.read_weights() {
+            Ok(weights) if weights.len() != n => return Err("weight count".into()),
+            Ok(_) => {}
+            Err(e) => io("read_weights", &e)?,
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_fail_typed(
+            mut bytes in proptest::collection::vec(0u8..=255, 0..=96),
+            with_magic in proptest::bool::ANY,
+            dim in 0u32..4,
+        ) {
+            // Half the files get past the magic (and a small `dim`) so
+            // the length check and the readers see them too.
+            if with_magic && bytes.len() >= 8 {
+                bytes[..4].copy_from_slice(&MAGIC);
+                bytes[4..8].copy_from_slice(&dim.to_le_bytes());
+            }
+            let path = temp_path("fuzz_arbitrary");
+            let out = read_all(&path, &bytes);
+            std::fs::remove_file(&path).ok();
+            proptest::prop_assert!(out.is_ok(), "{:?}: {:?}", bytes, out);
+        }
+
+        #[test]
+        fn mutated_valid_files_fail_typed(
+            pos in 0usize..1024,
+            byte in 0u8..=255,
+            n in 0u64..=u64::MAX,
+            small_n in 0u64..8,
+            dim in 0u32..=70,
+            field in 0usize..4,
+        ) {
+            let mut bytes = valid_small_file();
+            match field {
+                // One payload or header byte.
+                0 => {
+                    let len = bytes.len();
+                    bytes[pos % len] = byte;
+                }
+                // The point count: arbitrary, or near the real one.
+                1 => bytes[8..16].copy_from_slice(&n.to_le_bytes()),
+                2 => bytes[8..16].copy_from_slice(&small_n.to_le_bytes()),
+                // The dimension.
+                _ => bytes[4..8].copy_from_slice(&dim.to_le_bytes()),
+            }
+            let path = temp_path("fuzz_mutated");
+            let out = read_all(&path, &bytes);
+            std::fs::remove_file(&path).ok();
+            proptest::prop_assert!(out.is_ok(), "field {}: {:?}", field, out);
+        }
+    }
 }

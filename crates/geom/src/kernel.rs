@@ -148,15 +148,16 @@ pub fn and_ge_mask_scalar(col: &[u32], threshold: u32, row: &mut [u64]) -> bool 
 }
 
 /// The "which of these `n` points do I dominate" query shared by the
-/// anchor index and the chain-ladder sweep: starts `row` as the all-ones
-/// mask over `n` points and narrows it through every `(threshold, k)`
-/// pair with [`and_ge_mask`] over `cols[k]`, most selective (largest
-/// threshold) first, stopping the moment the row empties. Sorts
-/// `thresholds` in place. Returns `true` iff any bit survives; `row` is
-/// resized to `n.div_ceil(64)` words.
-pub fn narrow_ge_into(
+/// anchor index, the minimal-set primitive and the chain-ladder sweeps:
+/// starts `row` as the all-ones mask over the first `n` points and
+/// narrows it through every `(threshold, k)` pair with [`and_ge_mask`]
+/// over `cols[k][..n]`, most selective (largest threshold) first,
+/// stopping the moment the row empties. Sorts `thresholds` in place.
+/// Returns `true` iff any bit survives; `row` is resized to
+/// `n.div_ceil(64)` words. Columns no threshold names are never read.
+pub fn narrow_ge_into<C: AsRef<[u32]>>(
     n: usize,
-    cols: &[Vec<u32>],
+    cols: &[C],
     thresholds: &mut [(u32, usize)],
     row: &mut Vec<u64>,
 ) -> bool {
@@ -164,7 +165,7 @@ pub fn narrow_ge_into(
     ones_mask_into(n, row);
     thresholds.sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
     for &(t, k) in thresholds.iter() {
-        if !and_ge_mask(&cols[k], t, row) {
+        if !and_ge_mask(&cols[k].as_ref()[..n], t, row) {
             return false;
         }
     }

@@ -27,9 +27,9 @@ pub mod fenwick;
 pub mod index;
 pub mod kernel;
 pub mod label;
+pub mod minimal;
 pub mod oracle;
 pub mod parallel;
-pub mod pareto;
 pub mod point;
 pub mod transform;
 
@@ -44,11 +44,11 @@ pub use index::{
     matrix_bytes, try_rank_columns, DominanceIndex, RankKeys, RankTable,
 };
 pub use label::Label;
+pub use minimal::{minimal_by_rank, try_minimal_by_rank};
 pub use oracle::RankOracle;
 pub use parallel::{
     max_threads, parallel_chunks, parallel_chunks_mut, parallel_threshold, with_sequential,
 };
-pub use pareto::{maxima, minima, minima_2d};
 pub use point::Point;
 pub use transform::{transform_pointset, AxisTransform};
 

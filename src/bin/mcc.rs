@@ -754,8 +754,8 @@ fn cmd_passive_columnar(
     );
     println!("optimal weighted error = {}", sol.weighted_error);
     println!(
-        "flips: {} zeros -> 1, {} ones -> 0; dominance width = {}",
-        sol.flips_to_one, sol.flips_to_zero, sol.width
+        "flips: {} zeros -> 1, {} ones -> 0; ladder chains = {}",
+        sol.flips_to_one, sol.flips_to_zero, sol.ladder_chains
     );
     println!(
         "network: {} nodes, {} edges",
